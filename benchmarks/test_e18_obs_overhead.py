@@ -27,6 +27,7 @@ threshold; the defaults are the full-size assertions):
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
@@ -70,6 +71,10 @@ def test_e18_obs_overhead_bounded_and_bit_identical(
     metrics_path = tmp_path / "metrics.jsonl"
 
     def compare():
+        # Both timed runs start from a freshly collected heap, so a full
+        # collection of objects left by earlier tests cannot land in one
+        # run and not the other.
+        gc.collect()
         start = time.perf_counter()
         plain = simulate(
             topology, OpportunisticLinkScheduler(), packets,
@@ -78,6 +83,7 @@ def test_e18_obs_overhead_bounded_and_bit_identical(
         plain_s = time.perf_counter() - start
 
         registry = MetricsRegistry()
+        gc.collect()
         start = time.perf_counter()
         observed = simulate(
             topology, OpportunisticLinkScheduler(), packets,

@@ -1,16 +1,15 @@
 """Benchmark trajectory institution: sectioned runs, history files, trend checks.
 
-ROADMAP's "make ``BENCH_dispatch.json`` a trajectory" item, promoted to a
-subsystem.  Five named *sections* each measure one engine hot path on a
-seeded cell, always verifying bit-identity against the reference
-configuration before trusting a timing:
+Five named *sections* each measure one engine hot path on a seeded cell,
+always verifying bit-identity against the reference configuration before
+trusting a timing:
 
-* ``dispatch`` — reference adjacency scan vs the incremental impact index
-  (the historical ``scripts/bench_dispatch.py`` headline number);
+* ``dispatch`` — reference adjacency scan vs the incremental impact index;
 * ``scheduler`` — from-scratch greedy stable matching vs the incremental
   matching repairer, on a densified cell;
-* ``transmit`` — indexed per-edge budget walk vs the numpy-batched
-  vectorized backend, on the saturated-pairs cell;
+* ``transmit`` — the indexed engine vs the reference engine on the
+  saturated-pairs cell (few hot edges with deep per-edge queues), recording
+  both transmit-phase times;
 * ``run_multi`` — per-lane dispatch vs shared-dispatch memo lanes;
 * ``streaming`` — full retention vs aggregate (O(active) memory) retention
   over the same stream.
@@ -24,8 +23,8 @@ drops more than ``tolerance`` below the best prior point recorded on
 other scales are never compared, so a laptop can't "regress" against a CI
 runner and a smoke-scale check can't fail against a full-scale history.
 
-The file format rules (legacy migration, corruption refusal) generalise
-``bench_dispatch.load_history``; that script now imports them from here.
+:func:`load_history` migrates the legacy single-point file shape and refuses
+corrupt documents instead of overwriting them.
 """
 
 from __future__ import annotations
@@ -293,7 +292,7 @@ def check_history(
 
 
 # ---------------------------------------------------------------------- #
-# seeded cells and timed runs (moved from scripts/bench_dispatch.py)
+# seeded cells and timed runs
 # ---------------------------------------------------------------------- #
 def build_cell(num_racks: int, num_packets: int, seed: int, delay: int = 1):
     """The seeded dense-contention cell shared with benchmarks E15/E16.
@@ -326,12 +325,11 @@ def build_cell(num_racks: int, num_packets: int, seed: int, delay: int = 1):
 
 
 def build_saturated_cell(num_racks: int, num_packets: int, seed: int, delay: int = 1):
-    """The saturated-pairs cell shared with benchmark E17.
+    """The saturated-pairs cell of the ``transmit`` section.
 
     Eight node-disjoint hot edges the matching serves every slot, each with
-    a pending queue hundreds of chunks deep — the worst case for the
-    indexed engine's per-edge queue snapshot, which the transmit section is
-    meant to stress.
+    a pending queue hundreds of chunks deep — the worst case for any
+    per-edge queue walk in the transmission step.
     """
     start = time.perf_counter()
     topology = projector_fabric(
@@ -495,29 +493,23 @@ def run_section(
         topology, cell_packets, gen_s = build_saturated_cell(
             racks, num_packets, seed, delay=delay
         )
+        ref_s, ref_phases, ref_summary = time_single_phases(
+            topology, cell_packets, "reference", incremental=False
+        )
         idx_s, idx_phases, idx_summary = time_single_phases(
             topology, cell_packets, "indexed", incremental=True
         )
-        vec_s, vec_phases, vec_summary = time_single_phases(
-            topology, cell_packets, "vectorized", incremental=True
-        )
-        _require_identical(section, "vectorized summary", vec_summary, idx_summary)
-        phase_speedup = (
-            idx_phases.transmit_s / vec_phases.transmit_s
-            if vec_phases.transmit_s > 0
-            else 1.0
-        )
+        _require_identical(section, "indexed summary", idx_summary, ref_summary)
         return _point(
             section, racks, len(cell_packets), seed, delay,
-            throughput=len(cell_packets) / vec_s,
-            speedup=idx_s / vec_s,
+            throughput=len(cell_packets) / idx_s,
+            speedup=ref_s / idx_s,
             details={
                 "workload_generation_s": round(gen_s, 4),
+                "reference_s": round(ref_s, 4),
                 "indexed_s": round(idx_s, 4),
-                "vectorized_s": round(vec_s, 4),
+                "reference_transmit_s": round(ref_phases.transmit_s, 4),
                 "indexed_transmit_s": round(idx_phases.transmit_s, 4),
-                "vectorized_transmit_s": round(vec_phases.transmit_s, 4),
-                "transmit_phase_speedup": round(phase_speedup, 2),
             },
         )
 

@@ -98,7 +98,12 @@ from repro.experiments import (
     write_jsonl,
 )
 from repro.network import projector_fabric
-from repro.simulation import completion_time_statistics, latency_statistics, simulate
+from repro.simulation import (
+    ENGINE_MODES,
+    completion_time_statistics,
+    latency_statistics,
+    simulate,
+)
 from repro.utils.tables import format_table
 from repro.workloads import (
     Instance,
@@ -262,13 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
         "rows are identical)",
     )
     scen_run.add_argument(
-        "--engine", choices=("indexed", "reference", "vectorized"), default=None,
+        "--engine", choices=ENGINE_MODES, default=None,
         help="hot-path backend for dispatch AND scheduling: 'indexed' uses "
         "the incremental impact index plus the incremental matching "
-        "repairer, 'vectorized' adds the numpy-batched transmission step "
-        "on top of the indexed paths, 'reference' the O(n) adjacency scan "
-        "with from-scratch matching; rows are bit-identical (default: each "
-        "scenario's own setting)",
+        "repairer, 'reference' the O(n) adjacency scan with from-scratch "
+        "matching; both share one transmission step and rows are "
+        "bit-identical (default: each scenario's own setting)",
     )
     scen_run.add_argument(
         "--faults", type=int, default=None, metavar="SEED",

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.impact_index import ImpactIndex
 from repro.core.matching_index import MatchingIndex
@@ -355,17 +355,6 @@ class PendingChunkPool:
     def chunks_on_edge(self, transmitter: str, receiver: str) -> List[Chunk]:
         """Pending chunks assigned to the given edge, in priority order."""
         return list(self._by_edge.get((transmitter, receiver), ()))
-
-    def edge_queue(self, transmitter: str, receiver: str) -> Sequence[Chunk]:
-        """Zero-copy view of one edge's pending chunks, in priority order.
-
-        Unlike :meth:`chunks_on_edge` this returns the pool's internal list
-        directly: callers must treat it as read-only and must not hold it
-        across any pool mutation.  The vectorised transmission backend uses
-        it on every matched edge per slot, where the defensive copy would
-        dominate the per-slot cost.
-        """
-        return self._by_edge.get((transmitter, receiver), ())
 
     def chunks_at_transmitter(self, transmitter: str) -> List[Chunk]:
         """Pending chunks assigned to any edge incident to ``transmitter``."""

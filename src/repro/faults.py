@@ -14,8 +14,8 @@ of each slot:
 Schedules are plain frozen dataclasses: picklable (so they cross process
 boundaries inside :class:`~repro.experiments.runner.ExperimentRunner` tasks)
 and JSON round-trippable (so scenarios can persist them).  The engine keeps
-the three execution backends (reference / indexed / vectorized) bit-identical
-under any schedule; see ``docs/ARCHITECTURE.md`` §10.
+its two execution backends (reference / indexed) bit-identical under any
+schedule; see ``docs/ARCHITECTURE.md`` §10.
 
 Examples
 --------

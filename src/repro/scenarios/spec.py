@@ -365,14 +365,13 @@ class Scenario:
         one instance at several speeds — set this to the base scenario's
         name, so only the engine configuration differs between variants.
     engine:
-        Hot-path backend for dispatch *and* scheduling (``"indexed"``,
-        ``"reference"`` or ``"vectorized"``, see
-        :class:`~repro.simulation.engine.EngineConfig`): ``"indexed"``
-        enables the incremental impact index and the incremental matching
-        repairer, ``"vectorized"`` additionally batches the transmission
-        step through numpy, ``"reference"`` the O(n) scans.  Results are
-        bit-identical, so this is a performance knob, overridable per run
-        through :meth:`ScenarioMatrix.to_experiment_spec`.
+        Hot-path backend for dispatch *and* scheduling (``"indexed"`` or
+        ``"reference"``, see :class:`~repro.simulation.engine.EngineConfig`):
+        ``"indexed"`` enables the incremental impact index and the
+        incremental matching repairer, ``"reference"`` the O(n) scans.
+        Results of the two engines are bit-identical, so this is a
+        performance knob, overridable per run through
+        :meth:`ScenarioMatrix.to_experiment_spec`.
     faults:
         Optional explicit :class:`~repro.faults.FaultSchedule` injected into
         every cell's engine.  Only usable when the topology spec is

@@ -3,7 +3,6 @@
 from repro.simulation.accumulators import CompensatedSum, OnlineSummary, compensated_total
 from repro.simulation.engine import ENGINE_MODES, EngineConfig, SimulationEngine, simulate, simulate_multi
 from repro.simulation.profiling import PhaseTimings, timed_policy
-from repro.simulation.vector_backend import VectorTransmitBackend
 from repro.simulation.metrics import (
     LatencyStatistics,
     compare_policies,
@@ -32,7 +31,6 @@ __all__ = [
     "simulate_multi",
     "PhaseTimings",
     "timed_policy",
-    "VectorTransmitBackend",
     "SimulationResult",
     "PacketRecord",
     "CompensatedSum",

@@ -58,20 +58,20 @@ from repro.simulation.trace import (
     SlotTraceWriter,
     TransmissionEvent,
 )
-from repro.simulation.vector_backend import _WORK_EPSILON, VectorTransmitBackend
 
 __all__ = ["ENGINE_MODES", "EngineConfig", "SimulationEngine", "simulate", "simulate_multi"]
 
 #: Evaluation backends for the per-slot hot paths: ``"indexed"`` maintains
 #: the pool's incremental impact index (O(log n) per candidate edge) and —
 #: for schedulers that opt in — the incremental matching index (stable
-#: matching repaired from each slot's delta); ``"vectorized"`` adds the
-#: numpy-batched transmission step on top of the indexed decision paths
-#: (per-chunk state in parallel arrays, each slot's matching applied as a
-#: masked scatter-subtract); ``"reference"`` re-scans the adjacency lists
-#: and replays the full greedy matching pass (the historical loops kept for
-#: differential testing).  All three produce bit-identical results.
-ENGINE_MODES = ("indexed", "reference", "vectorized")
+#: matching repaired from each slot's delta); ``"reference"`` re-scans the
+#: adjacency lists and replays the full greedy matching pass (the historical
+#: loops kept for differential testing).  Both share one transmission step
+#: and produce bit-identical results.
+ENGINE_MODES = ("indexed", "reference")
+
+#: Numerical tolerance used to snap remaining chunk work to zero.
+_WORK_EPSILON = 1e-9
 
 #: Bucket upper bounds of the per-slot ``engine_matching_size`` histogram:
 #: powers of two from 1 to 1024 edges (matchings are bounded by the rack
@@ -131,15 +131,10 @@ class EngineConfig:
         rank query) and, for schedulers that opt in via
         ``uses_matching_index``, the incremental matching index (the greedy
         stable matching is repaired from the arrival/completion/activation
-        delta instead of recomputed from scratch).  ``"vectorized"`` keeps
-        the indexed decision paths and additionally batches the per-slot
-        transmission step through
-        :class:`~repro.simulation.vector_backend.VectorTransmitBackend`
-        (per-chunk state in parallel numpy arrays, the matching applied as
-        a masked scatter-subtract — the backend of choice for dense cells
-        with deep per-edge queues).  ``"reference"`` keeps the historical
-        O(n) adjacency scan and the full greedy matching pass.  Results are
-        bit-identical across all three; the reference paths remain the
+        delta instead of recomputed from scratch).  ``"reference"`` keeps
+        the historical O(n) adjacency scan and the full greedy matching
+        pass.  Both engines share the transmission step, and results are
+        bit-identical across the two; the reference paths remain the
         differential-test oracle and the fallback while debugging the
         indexes.
     share_dispatch:
@@ -180,8 +175,8 @@ class EngineConfig:
         dispatcher's candidate set, chunks stranded on them are evicted
         from the pool according to ``on_fail``, and degraded edges transmit
         at a fractional rate.  ``None`` (default) disables the fault
-        runtime entirely.  All three engine backends stay bit-identical
-        under any schedule.
+        runtime entirely.  Both engine backends stay bit-identical under
+        any schedule.
     on_fail:
         What happens to pending chunks stranded on failed hardware:
         ``"requeue"`` (default) holds them outside the pool and re-admits
@@ -610,7 +605,6 @@ class _PolicyLane:
         "result",
         "writer",
         "pool",
-        "backend",
         "slot",
         "_slots_simulated",
         "_aggregate",
@@ -647,9 +641,7 @@ class _PolicyLane:
         self.recorder = recorder
         self.result = result
         self.writer = writer
-        # "vectorized" keeps the indexed decision paths (impact + matching
-        # index) and only swaps the transmission step for the numpy batch.
-        indexed = engine.config.engine in ("indexed", "vectorized")
+        indexed = engine.config.engine == "indexed"
         self.pool = PendingChunkPool(
             impact_index=indexed,
             # Only schedulers that read the incremental matching index get a
@@ -657,9 +649,6 @@ class _PolicyLane:
             # the repair bookkeeping without ever consulting it.
             matching_index=indexed
             and getattr(policy.scheduler, "uses_matching_index", False),
-        )
-        self.backend = (
-            VectorTransmitBackend() if engine.config.engine == "vectorized" else None
         )
         # Fault runtime: an empty schedule is equivalent to no schedule, so
         # fault-free runs pay nothing (no per-step cursor check, dispatchers
@@ -760,7 +749,6 @@ class _PolicyLane:
                 slot,
                 self.recorder,
                 slot_trace,
-                self.backend,
                 self._topology,
             )
             if obs_on:
@@ -802,20 +790,7 @@ class _PolicyLane:
         timings = self._timings
         time_transmit = timings is not None or sampled
         transmit_start = time.perf_counter() if time_transmit else 0.0
-        degraded = faults is not None and faults.state.any_degraded
-        if self.backend is not None:
-            speeds: Optional[List[float]] = None
-            if degraded:
-                rates = faults.state.degraded
-                speed = config.speed
-                speeds = [
-                    speed if chunk.edge not in rates else speed * rates[chunk.edge]
-                    for chunk in matching
-                ]
-            self.backend.transmit_slot(
-                matching, pool, slot, config.speed, self.recorder, slot_trace, speeds
-            )
-        elif degraded:
+        if faults is not None and faults.state.any_degraded:
             rates = faults.state.degraded
             speed = config.speed
             for chunk in matching:
@@ -938,8 +913,6 @@ class _PolicyLane:
         faults = self._faults
         for chunk in stranded:
             pool.remove(chunk)
-        if self.backend is not None:
-            self.backend.remove_chunks(stranded)
         on_fail = self.engine.config.on_fail
         if on_fail == "requeue":
             faults.held.extend(stranded)
@@ -961,7 +934,6 @@ class _PolicyLane:
         """
         faults = self._faults
         pool = self.pool
-        backend = self.backend
         topology = self.engine.topology
         for chunk in stranded:
             packet = chunk.packet
@@ -975,8 +947,6 @@ class _PolicyLane:
             chunk.tail_delay = topology.tail_delay(edge[1])
             chunk.eligible_time = slot + topology.head_delay(edge[0])
             pool.add(chunk)
-            if backend is not None:
-                backend.add_chunks((chunk,))
             faults.redispatched += 1
 
     def _readmit_held(self) -> None:
@@ -991,13 +961,10 @@ class _PolicyLane:
             return
         state = faults.state
         pool = self.pool
-        backend = self.backend
         still_held: List[Chunk] = []
         for chunk in faults.held:
             if state.edge_alive(chunk.transmitter, chunk.receiver):
                 pool.add(chunk)
-                if backend is not None:
-                    backend.add_chunks((chunk,))
             else:
                 still_held.append(chunk)
         faults.held[:] = still_held
@@ -1058,17 +1025,6 @@ class _PolicyLane:
             )
             metrics.counter("matching_index_evictions", policy=name).inc(
                 index_stats["evictions"]
-            )
-        if self.backend is not None:
-            backend_stats = self.backend.stats()
-            metrics.counter("vector_fast_path_slots", policy=name).inc(
-                backend_stats["fast_slots"]
-            )
-            metrics.counter("vector_fallback_slots", policy=name).inc(
-                backend_stats["spill_slots"]
-            )
-            metrics.counter("vector_scalar_slots", policy=name).inc(
-                backend_stats["scalar_slots"]
             )
         faults = self._faults
         if faults is not None:
@@ -1372,7 +1328,6 @@ class SimulationEngine:
         slot: int,
         recorder: _Recorder,
         slot_trace: Optional[SlotTrace],
-        backend: Optional[VectorTransmitBackend] = None,
         topology: Optional[object] = None,
     ):
         # Lanes with an active fault schedule pass their FaultTopologyView
@@ -1389,8 +1344,6 @@ class SimulationEngine:
                 )
             recorder.on_dispatch(packet, assignment)
             pool.add_all(assignment.chunks)
-            if backend is not None:
-                backend.add_chunks(assignment.chunks)
         elif isinstance(assignment, FixedLinkAssignment):
             recorder.on_dispatch(packet, assignment)
         else:  # pragma: no cover - defensive
@@ -1437,18 +1390,18 @@ class SimulationEngine:
         slot_trace: Optional[SlotTrace],
         budget: Optional[float] = None,
     ) -> None:
-        """Transmit up to ``budget`` (default ``speed``) chunk-units on ``head_chunk``'s edge."""
+        """Transmit up to ``budget`` (default ``speed``) chunk-units on ``head_chunk``'s edge.
+
+        The head chunk is served first; any leftover budget spills to the
+        edge's other eligible chunks in priority order (see
+        :func:`_edge_queue`, which copies the queue only when it is reached).
+        """
         if budget is None:
             budget = self.config.speed
+        if budget <= _WORK_EPSILON:
+            return
         edge = head_chunk.edge
-        queue = [head_chunk] + [
-            c
-            for c in pool.chunks_on_edge(*edge)
-            if c is not head_chunk and c.eligible_time <= slot
-        ]
-        for chunk in queue:
-            if budget <= _WORK_EPSILON:
-                break
+        for chunk in _edge_queue(head_chunk, pool, slot):
             amount = min(budget, chunk.remaining_work)
             if amount <= 0:
                 continue
@@ -1480,6 +1433,23 @@ class SimulationEngine:
                         completed=completed,
                     )
                 )
+            if budget <= _WORK_EPSILON:
+                break
+
+
+def _edge_queue(head: Chunk, pool: PendingChunkPool, slot: int) -> Iterator[Chunk]:
+    """``head``, then the other chunks of its edge eligible at ``slot``, in priority order.
+
+    When the head's remaining work covers the budget (every slot at speed 1
+    on a healthy fabric) the consumer stops after the head, so the edge
+    queue is never copied; only a leftover budget resumes the generator and
+    takes the (post-head) snapshot.  The head is excluded by identity, so
+    the order matches a snapshot taken before the head was served.
+    """
+    yield head
+    for chunk in pool.chunks_on_edge(*head.edge):
+        if chunk is not head and chunk.eligible_time <= slot:
+            yield chunk
 
 
 def simulate(

@@ -23,7 +23,7 @@ the competitive bound has to absorb:
   (source, destination) pairs, so the matching serves every hot edge each
   slot while each edge's pending queue grows linearly in the backlog — the
   deepest per-edge queues a stable matching will ever walk, and the cell
-  behind benchmark E17.
+  behind the ``transmit`` bench section.
 
 Every generator exists as a lazy ``iter_*`` form (O(1) memory in the packet
 count, arrival slots non-decreasing) plus a thin materialising list wrapper,
@@ -245,7 +245,8 @@ def iter_saturated_pairs_workload(
     queue that grows linearly in the backlog.  That makes the per-edge
     charge sets ``H_p(e)`` / ``L_p(e)`` as deep as they can get without
     inflating the matching itself — the worst case for any per-edge walk in
-    the transmission step, and the cell behind benchmark E17.  The
+    the transmission step, and the cell behind the ``transmit`` bench
+    section.  The
     ``1 − hot_fraction`` background share over uniformly random routable
     pairs keeps the rest of the fabric lightly loaded.
     """

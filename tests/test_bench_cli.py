@@ -1,7 +1,7 @@
 """Tests for the benchmark institution (repro.bench) and the bench CLI.
 
-The history-file migration/corruption rules are pinned against the script
-re-export in tests/test_bench_history.py; this file covers the sectioned
+The history-file migration/corruption rules are pinned in
+tests/test_bench_history.py; this file covers the sectioned
 runners, the machine/scale comparability logic, the pure regression gate
 and the ``bench run|report|check`` subcommands end to end at smoke scale.
 """

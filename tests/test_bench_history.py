@@ -1,22 +1,17 @@
-"""Tests for the benchmark-history migration in scripts/bench_dispatch.py."""
+"""Tests for the benchmark-history migration rules of :func:`repro.bench.load_history`."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_dispatch.py"
-_spec = importlib.util.spec_from_file_location("bench_dispatch", _SCRIPT)
-bench_dispatch = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_dispatch)
+from repro.bench import load_history
 
 
 class TestLoadHistory:
     def test_missing_file_starts_empty(self, tmp_path):
-        assert bench_dispatch.load_history(tmp_path / "absent.json") == []
+        assert load_history(tmp_path / "absent.json") == []
 
     def test_current_history_shape_passes_through(self, tmp_path):
         points = [{"recorded_at": "2026-01-01T00:00:00+00:00"}, {"recorded_at": "b"}]
@@ -25,7 +20,7 @@ class TestLoadHistory:
             json.dumps({"benchmark": "dispatch-hot-path", "history": points}),
             encoding="utf-8",
         )
-        assert bench_dispatch.load_history(path) == points
+        assert load_history(path) == points
 
     def test_legacy_single_point_is_migrated(self, tmp_path):
         # A pre-history file is one benchmark point at the top level; it must
@@ -38,7 +33,7 @@ class TestLoadHistory:
         }
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(legacy), encoding="utf-8")
-        history = bench_dispatch.load_history(path)
+        history = load_history(path)
         assert history == [
             {
                 "recorded_at": "2025-12-31T00:00:00+00:00",
@@ -52,16 +47,16 @@ class TestLoadHistory:
         path = tmp_path / "bench.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ValueError, match="not valid JSON"):
-            bench_dispatch.load_history(path)
+            load_history(path)
 
     def test_non_dict_document_raises(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text("[1, 2, 3]", encoding="utf-8")
         with pytest.raises(ValueError, match="top-level list"):
-            bench_dispatch.load_history(path)
+            load_history(path)
 
     def test_non_list_history_raises(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text(json.dumps({"history": {"oops": 1}}), encoding="utf-8")
         with pytest.raises(ValueError, match="non-list 'history'"):
-            bench_dispatch.load_history(path)
+            load_history(path)

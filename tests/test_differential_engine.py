@@ -302,8 +302,8 @@ def test_naive_vs_fast_vs_run_multi(scenario: Scenario, seed: int) -> None:
 
     The naive loop (which uses the reference adjacency scan by construction —
     its pool maintains no impact index) anchors the comparison; the
-    production paths are exercised under the ``indexed``, ``reference`` and
-    ``vectorized`` backends, and ``run_multi`` additionally under
+    production paths are exercised under the ``indexed`` and ``reference``
+    backends, and ``run_multi`` additionally under
     shared-dispatch lanes with the cross-lane invariant check enabled and
     under the PR 3 per-lane dispatch (sharing off).  Several cells pair
     ``alg`` with ``impact+fifo`` — two policies sharing the impact rule — so
@@ -318,7 +318,7 @@ def test_naive_vs_fast_vs_run_multi(scenario: Scenario, seed: int) -> None:
         for name, policy in policies.items()
     }
 
-    for engine_mode in ("indexed", "reference", "vectorized"):
+    for engine_mode in ("indexed", "reference"):
         # Path 2: the production fast path, one policy at a time.
         fast = {
             name: simulate(
@@ -362,110 +362,31 @@ def test_naive_vs_fast_vs_run_multi(scenario: Scenario, seed: int) -> None:
 
 
 @pytest.mark.parametrize("scenario,seed", _CELLS, ids=_CELL_IDS)
-def test_engine_modes_trace_bit_identical(
-    scenario: Scenario, seed: int, monkeypatch
-) -> None:
-    """All engine backends agree slot-by-slot, not just in summary.
+def test_engine_modes_trace_bit_identical(scenario: Scenario, seed: int) -> None:
+    """Both engine backends agree slot-by-slot, not just in summary.
 
-    Every policy of every differential cell is replayed under every engine
-    mode with full tracing; the per-slot traces must be equal
+    Every policy of every differential cell is replayed under both engine
+    modes with full tracing; the per-slot traces must be equal
     object-for-object.  In particular each slot's ``matching`` lists edges in
     the scheduler's selection order and each transmission names its chunk by
     ``(packet_id, chunk_index)``, so this pins the incremental
     matching-repair path to the reference greedy pass chunk-for-chunk *and*
-    order-for-order.  The vectorized backend is traced twice — once at the
-    default crossover and once forced onto the numpy batch path — because
-    the two paths emit their transmission events from different code.
+    order-for-order.
     """
-    from repro.simulation import vector_backend
-
     topology, stream, policies = scenario.materialise(seed)
     packets = list(stream)
     for name, policy in policies.items():
-        traces = {}
-        for engine_mode in ("indexed", "reference", "vectorized",
-                            "vectorized-batch"):
-            if engine_mode == "vectorized-batch":
-                monkeypatch.setattr(vector_backend, "_VECTOR_MIN_BATCH", 0)
-            result = simulate(
+        traces = {
+            engine_mode: simulate(
                 topology, policy, packets, speed=scenario.speed,
-                record_trace=True,
-                engine=engine_mode.removesuffix("-batch"),
-            )
-            if engine_mode == "vectorized-batch":
-                monkeypatch.undo()
-            traces[engine_mode] = result.trace.slots
-        for engine_mode in ("reference", "vectorized", "vectorized-batch"):
-            assert traces["indexed"] == traces[engine_mode], (
-                f"{scenario.name}/{name}: per-slot traces diverged between "
-                f"the indexed and {engine_mode} engines"
-            )
-
-
-@pytest.mark.parametrize("min_batch", [0, 1 << 30], ids=["always-numpy", "always-scalar"])
-@pytest.mark.parametrize("scenario,seed", _CELLS, ids=_CELL_IDS)
-def test_vector_backend_both_paths_bit_identical(
-    scenario: Scenario, seed: int, min_batch: int, monkeypatch
-) -> None:
-    """Both sides of the vectorized backend's scalar/numpy crossover agree.
-
-    The backend routes matchings below ``_VECTOR_MIN_BATCH`` through a
-    scalar loop and larger ones through the numpy batch; forcing the
-    crossover to each extreme replays every differential cell entirely on
-    one path, so neither can hide behind the other, and both must stay
-    bit-identical to the indexed engine.
-    """
-    from repro.simulation import vector_backend
-
-    monkeypatch.setattr(vector_backend, "_VECTOR_MIN_BATCH", min_batch)
-    topology, stream, policies = scenario.materialise(seed)
-    packets = list(stream)
-    for name, policy in policies.items():
-        expected = simulate(
-            topology, policy, packets, speed=scenario.speed, engine="indexed"
-        ).summary()
-        actual = simulate(
-            topology, policy, packets, speed=scenario.speed, engine="vectorized"
-        ).summary()
-        assert actual == expected, (
-            f"{scenario.name}/{name} (min_batch={min_batch}): vectorized "
-            f"backend diverged from the indexed engine\n"
-            f"indexed:    {expected}\nvectorized: {actual}"
+                record_trace=True, engine=engine_mode,
+            ).trace.slots
+            for engine_mode in ("indexed", "reference")
+        }
+        assert traces["indexed"] == traces["reference"], (
+            f"{scenario.name}/{name}: per-slot traces diverged between "
+            "the indexed and reference engines"
         )
-
-
-def test_vector_backend_grows_capacity() -> None:
-    """Row registration survives capacity doubling with state intact."""
-    from repro.simulation.vector_backend import VectorTransmitBackend
-
-    backend = VectorTransmitBackend(capacity=16)
-    packets = [
-        Packet(i, "a", "b", weight=1.0 + i, arrival=i + 1) for i in range(10)
-    ]
-    chunks = [
-        Chunk(
-            packet=p,
-            index=j,
-            size=0.25,
-            weight=p.weight * 0.25,
-            transmitter="a",
-            receiver="b",
-            eligible_time=p.arrival,
-            tail_delay=1,
-        )
-        for p in packets
-        for j in range(1, 5)
-    ]
-    backend.add_chunks(chunks)
-    assert len(backend) == len(chunks)  # 40 rows through two doublings
-    for chunk in chunks:
-        row = backend._row_of[chunk]
-        assert backend._chunks[row] is chunk
-        assert backend._remaining[row] == chunk.remaining_work
-        assert backend._size[row] == chunk.size
-        assert backend._pweight[row] == chunk.packet.weight
-        assert backend._arrival[row] == chunk.packet.arrival
-        assert backend._tail[row] == chunk.tail_delay
 
 
 def test_naive_pool_is_really_naive() -> None:
@@ -494,7 +415,7 @@ def test_observability_never_perturbs_results(
     topology, stream, policies = scenario.materialise(seed)
     packets = list(stream)
     for name, policy in policies.items():
-        for engine_mode in ("indexed", "reference", "vectorized"):
+        for engine_mode in ("indexed", "reference"):
             plain = simulate(
                 topology, policy, packets, speed=scenario.speed,
                 engine=engine_mode, record_trace=True,
@@ -523,7 +444,7 @@ def test_observability_never_perturbs_results(
 
 
 # ---------------------------------------------------------------------- #
-# fault injection: every engine backend must degrade identically
+# fault injection: both engine backends must degrade identically
 # ---------------------------------------------------------------------- #
 # Only hybrid cells (uniform fixed links) are fault-safe under *arbitrary*
 # schedules: even if every reconfigurable edge of a pair goes dark, the
@@ -561,12 +482,12 @@ def _fault_schedule_for(topology, seed: int):
 def test_engines_bit_identical_under_faults(
     scenario: Scenario, seed: int, on_fail: str
 ) -> None:
-    """Fault schedules degrade every backend identically, slot for slot.
+    """Fault schedules degrade both backends identically, slot for slot.
 
     Each fault-safe differential cell is replayed under a schedule mixing
     generated fail/recover events with handcrafted degraded-rate windows,
-    for every stranded-chunk policy.  The indexed, reference and vectorized
-    engines — and both retentions — must agree on every summary number, and
+    for every stranded-chunk policy.  The indexed and reference engines —
+    and both retentions — must agree on every summary number, and
     the full-retention runs must also produce bit-identical slot traces.
     """
     topology, stream, policies = scenario.materialise(seed)
@@ -575,7 +496,7 @@ def test_engines_bit_identical_under_faults(
     for name, policy in policies.items():
         summaries: Dict[str, Dict[str, float]] = {}
         traces: Dict[str, list] = {}
-        for engine_mode in ("indexed", "reference", "vectorized"):
+        for engine_mode in ("indexed", "reference"):
             for retention in ("full", "aggregate"):
                 result = simulate(
                     topology, policy, packets, speed=scenario.speed,
@@ -593,11 +514,10 @@ def test_engines_bit_identical_under_faults(
                 f"summary diverged under faults\nindexed/full: {baseline}\n"
                 f"{label}: {summary}"
             )
-        for engine_mode in ("reference", "vectorized"):
-            assert traces[engine_mode] == traces["indexed"], (
-                f"{scenario.name}/{name} [{engine_mode}, on_fail={on_fail}]: "
-                f"slot traces diverged under faults"
-            )
+        assert traces["reference"] == traces["indexed"], (
+            f"{scenario.name}/{name} [on_fail={on_fail}]: "
+            "slot traces diverged under faults"
+        )
 
 
 @pytest.mark.parametrize("scenario,seed", _FAULT_CELLS, ids=_FAULT_CELL_IDS)
@@ -622,7 +542,7 @@ def test_run_multi_matches_simulate_under_faults(
         ).summary()
         for name, policy in policies.items()
     }
-    for engine_mode in ("indexed", "reference", "vectorized"):
+    for engine_mode in ("indexed", "reference"):
         engine = SimulationEngine(
             topology,
             config=EngineConfig(

@@ -1,11 +1,12 @@
-"""Regression tests for the engine's slot-skipping fast path.
+"""Regression tests for the engine's fast paths.
 
-The fast path (``EngineConfig.slot_skipping``) jumps over empty slots instead
-of walking them one by one.  These tests pin the contract that the ISSUE and
-the E11b benchmark rely on: the produced :class:`SimulationResult` — records,
-per-slot aggregates and full event traces — is *bit-identical* to the
-slot-by-slot walk on the paper's worked examples and on sparse synthetic
-workloads.
+The slot-skipping fast path (``EngineConfig.slot_skipping``) jumps over empty
+slots instead of walking them one by one.  These tests pin the contract that
+the E11b benchmark relies on: the produced :class:`SimulationResult` —
+records, per-slot aggregates and full event traces — is *bit-identical* to
+the slot-by-slot walk on the paper's worked examples and on sparse synthetic
+workloads.  They also pin the lazy edge-queue walk of the transmission step:
+an edge's queue is copied only when budget is left after its head chunk.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import pytest
 
 from repro.baselines import all_policies
 from repro.core import OpportunisticLinkScheduler, Packet
+from repro.core.queues import PendingChunkPool
 from repro.exceptions import SimulationError
 from repro.network import projector_fabric
-from repro.simulation import EngineConfig, SimulationEngine
+from repro.simulation import ENGINE_MODES, EngineConfig, SimulationEngine, simulate
 from repro.network import TwoTierTopology
 from repro.workloads import (
     figure1_instance,
@@ -26,6 +28,7 @@ from repro.workloads import (
     uniform_weights,
     zipf_workload,
 )
+from repro.workloads.adversarial import iter_saturated_pairs_workload
 
 
 def _line_topology() -> TwoTierTopology:
@@ -164,3 +167,61 @@ class TestSlotSkippingSemantics:
             )
             with pytest.raises(SimulationError, match="max_slots"):
                 engine.run(packets)
+
+
+class TestLazyEdgeWalk:
+    """Transmission copies an edge queue only when budget spills past the head."""
+
+    @pytest.fixture(scope="class")
+    def saturated(self):
+        """A small saturated-pairs cell: few hot edges with deep queues."""
+        topo = projector_fabric(
+            num_racks=8, lasers_per_rack=2, photodetectors_per_rack=2, delay=4, seed=17
+        )
+        packets = list(
+            iter_saturated_pairs_workload(
+                topo, num_packets=400, num_pairs=4, hot_fraction=0.95,
+                arrival_rate=8.0, weight_sampler=uniform_weights(1, 10), seed=18,
+            )
+        )
+        return topo, packets
+
+    @staticmethod
+    def _count_snapshots(monkeypatch):
+        """Record every ``PendingChunkPool.chunks_on_edge`` call made from now on."""
+        calls = []
+        original = PendingChunkPool.chunks_on_edge
+
+        def counted(self, transmitter, receiver):
+            calls.append((transmitter, receiver))
+            return original(self, transmitter, receiver)
+
+        monkeypatch.setattr(PendingChunkPool, "chunks_on_edge", counted)
+        return calls
+
+    def test_unit_speed_never_copies_an_edge_queue(self, saturated, monkeypatch):
+        topo, packets = saturated
+        calls = self._count_snapshots(monkeypatch)
+        result = simulate(topo, OpportunisticLinkScheduler(), packets, speed=1.0)
+        assert result.all_delivered
+        assert sum(result.matching_sizes) > 0
+        assert calls == []
+
+    def test_spill_walks_past_the_head_bit_identically(self, saturated, monkeypatch):
+        topo, packets = saturated
+        calls = self._count_snapshots(monkeypatch)
+        runs = {
+            engine: simulate(
+                topo, OpportunisticLinkScheduler(), packets, speed=1.7,
+                engine=engine, record_trace=True,
+            )
+            for engine in ENGINE_MODES
+        }
+        assert calls
+        # Some edge served more than one chunk in a slot: the walk went on
+        # past the head into the rest of the queue.
+        assert any(
+            len({event.edge for event in slot.transmissions}) < len(slot.transmissions)
+            for slot in runs["indexed"].trace.slots
+        )
+        assert _fingerprint(runs["indexed"]) == _fingerprint(runs["reference"])

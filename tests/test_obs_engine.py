@@ -4,7 +4,7 @@ The bit-identity guarantee itself lives in tests/test_differential_engine.py;
 this file pins what the instruments *record* — counter values that must
 match the run's own summary, the metrics-snapshot JSONL side channel, the
 sampled phase spans, the subsystem counters (shared-dispatch memo, matching
-index, impact index, vector backend) and the zero-cost disabled default.
+index, impact index) and the zero-cost disabled default.
 """
 
 from __future__ import annotations
@@ -103,18 +103,6 @@ class TestEngineCounters:
         assert _one(counters, "impact_index_consolidations") > 0
         assert _one(counters, "matching_index_tasks") > 0
         assert _one(counters, "matching_index_evictions") >= 0
-
-    def test_vector_backend_counters(self, cell):
-        topology, packets = cell
-        result, snap = _run_with_registry(topology, packets, engine="vectorized")
-        counters = snap["counters"]
-        routed = (
-            _one(counters, "vector_fast_path_slots")
-            + _one(counters, "vector_fallback_slots")
-            + _one(counters, "vector_scalar_slots")
-        )
-        assert routed > 0
-        assert result.all_delivered
 
 
 class TestSpans:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.scenarios import (
     scenario_matrix,
     scenario_names,
 )
-from repro.simulation import EngineConfig, SimulationEngine
+from repro.simulation import ENGINE_MODES, EngineConfig, SimulationEngine
 from repro.utils.rng import as_rng
 from repro.workloads import (
     contention_hotspot_workload,
@@ -174,10 +175,14 @@ class TestMatrix:
         assert default == indexed == reference == per_policy_reference
 
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ScenarioError, match="engine"):
-            grid_matrix("smoke").to_experiment_spec(engine="vectorised")
-        with pytest.raises(ScenarioError, match="engine"):
-            dataclasses.replace(get_scenario("figure1"), engine="vectorised")
+        # The retired numpy engine name fails like any unknown mode, and the
+        # error names the modes that are left.
+        valid = f"engine must be one of {re.escape(repr(ENGINE_MODES))}"
+        for engine in ("vectorised", "vectorized"):
+            with pytest.raises(ScenarioError, match=valid):
+                grid_matrix("smoke").to_experiment_spec(engine=engine)
+            with pytest.raises(ScenarioError, match=valid):
+                dataclasses.replace(get_scenario("figure1"), engine=engine)
 
 
 # ---------------------------------------------------------------------- #
