@@ -14,6 +14,13 @@ end-to-end ratio isolates the scheduler change; a phase breakdown from
 ``select_matching`` phase itself.  Summaries must be bit-identical — the
 repairer replays exactly the matchings the from-scratch pass would produce.
 
+Measured at the default size on a shared 2-CPU x86-64 host (CPython 3.11),
+with per-port matching scans and cached priority keys: 4.5–5.4× end to end
+(flat 8.3–9.2 s, incremental 1.55–2.05 s) and 20–28× on the scheduler
+phase, over two runs.  The earlier per-edge scan layout measured
+2.6× / 4.2× on the same host.  The asserted thresholds below stay at
+2× / 2.5×.
+
 Environment knobs (the CI smoke step shrinks the cell and relaxes the
 thresholds; the defaults are the full-size assertions):
 

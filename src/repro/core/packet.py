@@ -82,11 +82,18 @@ class Chunk:
     ``remaining_work`` (1.0 when untransmitted, 0.0 when fully transmitted)
     and, once delivered, the slot in which it crossed its edge and the time it
     reached the destination.
+
+    ``key`` is the chunk's total-order priority key (see
+    :func:`~repro.utils.ordering.chunk_priority_key`), computed once here.
+    It reads only fields that never change after construction (a fault
+    redispatch rewrites the edge and ``eligible_time``, never these), so every
+    sorted index can compare cached keys instead of rebuilding them.
     """
 
     __slots__ = (
         "packet",
         "index",
+        "key",
         "size",
         "weight",
         "transmitter",
@@ -117,6 +124,7 @@ class Chunk:
             raise ValueError(f"chunk weight must be positive, got {weight}")
         self.packet = packet
         self.index = index
+        self.key = (-weight, packet.arrival, packet.packet_id, index)
         self.size = size
         self.weight = weight
         self.transmitter = transmitter

@@ -1,21 +1,27 @@
 """Pending-chunk bookkeeping shared by dispatchers, schedulers and the engine.
 
-The :class:`PendingChunkPool` indexes all dispatched-but-undelivered chunks
+The :class:`PendingChunkPool` stores every dispatched-but-undelivered chunk
+once, in its reconfigurable edge's transmission queue, kept sorted by the
+single chunk order of :mod:`repro.utils.ordering` (decreasing weight, ties
+by earlier arrival).  Each chunk carries its priority key from creation
+(:attr:`Chunk.key <repro.core.packet.Chunk>`), and the key never changes for
+the chunk's lifetime (the engine mutates ``remaining_work``, and a fault
+redispatch only moves the chunk between edges by removing and re-adding
+it), so an insertion or removal is one bisect on cached keys.
 
-* by reconfigurable edge (the per-edge transmission queue),
-* by transmitter and by receiver (the adjacency sets the dispatcher's
-  ``A_p(e)`` computation and the stable-matching blocking relation need),
-
-and offers priority-ordered iteration using the single chunk order defined in
-:mod:`repro.utils.ordering` (decreasing weight, ties by earlier arrival).
-
-Every index is a list kept sorted by :func:`~repro.utils.ordering.chunk_priority_key`
-via binary-search insertion.  The key is immutable for a chunk's lifetime
-(weight, arrival, packet id, chunk index — the engine only mutates
-``remaining_work``), so queries like :meth:`chunks_on_edge`,
-:meth:`eligible_chunks` and :meth:`adjacent_chunks` return already-ordered
-data instead of re-sorting the pool on every call — the per-slot hot path of
-the simulation engine.
+Two peer sets per port (the receivers a transmitter has pending chunks
+towards, and the transmitters feeding a receiver) record which edge queues
+are non-empty.  The per-port views — :meth:`chunks_at_transmitter`,
+:meth:`chunks_at_receiver`, :meth:`adjacent_chunks` (the dispatcher's
+``A_p(e)``), the ``busy_*`` sets and the ``weight_at_*`` sums — are derived
+from them on demand by merging the port's edge queues (a sort over
+presorted runs, which Timsort merges in C).  The merge keeps priority
+order, so fault eviction removes chunks in the same order as a port-sorted
+list would, and weight sums add the same floats in the same order.  ALG on
+the indexed engine reads none of these views per slot (the impact index
+answers its dispatcher and the matching index its scheduler); their readers
+are fault eviction, the reference engine's adjacency scan and the
+least-loaded baseline, so the pool keeps no sorted per-port lists for them.
 
 Eligibility partition
 ---------------------
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.impact_index import ImpactIndex
@@ -50,7 +57,37 @@ def _sorted_remove(chunks: List[Chunk], chunk: Chunk) -> None:
     """Remove ``chunk`` from a priority-sorted list (O(log n) search, O(n) tail shift)."""
     # The priority key is a total order (it ends in packet id / chunk
     # index), so the chunk sits exactly at its key's bisection point.
-    del chunks[bisect_left(chunks, chunk_priority_key(chunk), key=chunk_priority_key)]
+    del chunks[bisect_left(chunks, chunk.key, key=chunk_priority_key)]
+
+
+def _merge_queues(queues: List[List[Chunk]]) -> List[Chunk]:
+    """Merge priority-sorted edge queues into one priority-sorted list.
+
+    Timsort finds each queue as a presorted run and merges the runs in C,
+    several times faster than :func:`heapq.merge`'s Python-level loop.  Most
+    ports have at most one non-empty queue, which is copied as is.
+    """
+    if len(queues) > 1:
+        return sorted(chain.from_iterable(queues), key=chunk_priority_key)
+    return list(queues[0]) if queues else []
+
+
+def _priority_weight(queues: List[List[Chunk]]) -> float:
+    """Total chunk weight of one port's non-empty queues, added in priority order.
+
+    That is the order of the port's merged view, so the float sum is the same
+    as summing a single port-sorted list.
+    """
+    chunks = _merge_queues(queues) if len(queues) > 1 else queues[0]
+    return sum(c.weight for c in chunks)
+
+
+def _drop_peer(peers_by_port: Dict[str, Set[str]], port: str, peer: str) -> None:
+    """Forget ``peer`` as a neighbour of ``port`` once their edge queue empties."""
+    peers = peers_by_port[port]
+    peers.remove(peer)
+    if not peers:
+        del peers_by_port[port]
 
 
 class PendingChunkPool:
@@ -74,8 +111,9 @@ class PendingChunkPool:
 
     def __init__(self, *, impact_index: bool = False, matching_index: bool = False) -> None:
         self._by_edge: Dict[Tuple[str, str], List[Chunk]] = {}
-        self._by_transmitter: Dict[str, List[Chunk]] = {}
-        self._by_receiver: Dict[str, List[Chunk]] = {}
+        # Port → the peer ports of its non-empty edge queues.
+        self._tx_peers: Dict[str, Set[str]] = {}
+        self._rx_peers: Dict[str, Set[str]] = {}
         self._all: Set[Chunk] = set()
         # Eligibility partition: chunks whose eligible_time has been reached
         # (relative to the monotone watermark) form the eligible set; later
@@ -131,15 +169,14 @@ class PendingChunkPool:
                 heappush(self._future_times, chunk.eligible_time)
             else:
                 bucket.append(chunk)
-        insort(self._by_edge.setdefault(chunk.edge, []), chunk, key=chunk_priority_key)
-        insort(
-            self._by_transmitter.setdefault(chunk.transmitter, []),
-            chunk,
-            key=chunk_priority_key,
-        )
-        insort(
-            self._by_receiver.setdefault(chunk.receiver, []), chunk, key=chunk_priority_key
-        )
+        tx, rx = chunk.transmitter, chunk.receiver
+        edge_list = self._by_edge.get((tx, rx))
+        if edge_list is None:
+            self._by_edge[(tx, rx)] = [chunk]
+            self._tx_peers.setdefault(tx, set()).add(rx)
+            self._rx_peers.setdefault(rx, set()).add(tx)
+        else:
+            insort(edge_list, chunk, key=chunk_priority_key)
 
     def add_all(self, chunks: Iterable[Chunk]) -> None:
         """Add every chunk in ``chunks`` to the pool."""
@@ -174,24 +211,19 @@ class PendingChunkPool:
                 # The activation time stays in the heap; stale entries are
                 # skipped lazily when the heap front is inspected.
                 del self._future[chunk.eligible_time]
-        edge_list = self._by_edge[chunk.edge]
+        tx, rx = chunk.transmitter, chunk.receiver
+        edge_list = self._by_edge[(tx, rx)]
         _sorted_remove(edge_list, chunk)
         if not edge_list:
-            del self._by_edge[chunk.edge]
-        tx_list = self._by_transmitter[chunk.transmitter]
-        _sorted_remove(tx_list, chunk)
-        if not tx_list:
-            del self._by_transmitter[chunk.transmitter]
-        rx_list = self._by_receiver[chunk.receiver]
-        _sorted_remove(rx_list, chunk)
-        if not rx_list:
-            del self._by_receiver[chunk.receiver]
+            del self._by_edge[(tx, rx)]
+            _drop_peer(self._tx_peers, tx, rx)
+            _drop_peer(self._rx_peers, rx, tx)
 
     def clear(self) -> None:
         """Remove every chunk from the pool."""
         self._by_edge.clear()
-        self._by_transmitter.clear()
-        self._by_receiver.clear()
+        self._tx_peers.clear()
+        self._rx_peers.clear()
         self._all.clear()
         self._eligible_set.clear()
         if self._eligible is not None:
@@ -357,47 +389,34 @@ class PendingChunkPool:
         return list(self._by_edge.get((transmitter, receiver), ()))
 
     def chunks_at_transmitter(self, transmitter: str) -> List[Chunk]:
-        """Pending chunks assigned to any edge incident to ``transmitter``."""
-        return list(self._by_transmitter.get(transmitter, ()))
+        """Pending chunks assigned to any edge incident to ``transmitter``, in priority order."""
+        by_edge = self._by_edge
+        return _merge_queues(
+            [by_edge[(transmitter, rx)] for rx in self._tx_peers.get(transmitter, ())]
+        )
 
     def chunks_at_receiver(self, receiver: str) -> List[Chunk]:
-        """Pending chunks assigned to any edge incident to ``receiver``."""
-        return list(self._by_receiver.get(receiver, ()))
+        """Pending chunks assigned to any edge incident to ``receiver``, in priority order."""
+        by_edge = self._by_edge
+        return _merge_queues([by_edge[(tx, receiver)] for tx in self._rx_peers.get(receiver, ())])
 
     def adjacent_chunks(self, transmitter: str, receiver: str) -> List[Chunk]:
         """Pending chunks sharing the transmitter *or* the receiver of an edge.
 
         This is the paper's set ``A_p(e)`` (restricted to pending chunks, which
         is exactly what the dispatcher needs because it runs before the new
-        packet's own chunks are added to the pool).
+        packet's own chunks are added to the pool), in priority order.
         """
-        # Merge the two sorted incidence lists.  The priority key is a total
-        # order (it ends in packet id / chunk index), so equal keys can only
-        # mean the *same* chunk — one pending on edge ``(transmitter,
-        # receiver)`` itself, present in both lists — and is emitted once.
-        tx = self._by_transmitter.get(transmitter, [])
-        rx = self._by_receiver.get(receiver, [])
-        if not tx:
-            return list(rx)
-        if not rx:
-            return list(tx)
-        merged: List[Chunk] = []
-        i = j = 0
-        while i < len(tx) and j < len(rx):
-            key_t, key_r = chunk_priority_key(tx[i]), chunk_priority_key(rx[j])
-            if key_t < key_r:
-                merged.append(tx[i])
-                i += 1
-            elif key_r < key_t:
-                merged.append(rx[j])
-                j += 1
-            else:
-                merged.append(tx[i])
-                i += 1
-                j += 1
-        merged.extend(tx[i:])
-        merged.extend(rx[j:])
-        return merged
+        # Chunks on edge ``(transmitter, receiver)`` itself reach the merge
+        # through the transmitter side only.
+        by_edge = self._by_edge
+        queues = [by_edge[(transmitter, rx)] for rx in self._tx_peers.get(transmitter, ())]
+        queues.extend(
+            by_edge[(tx, receiver)]
+            for tx in self._rx_peers.get(receiver, ())
+            if tx != transmitter
+        )
+        return _merge_queues(queues)
 
     def eligible_chunks(self, now: int) -> List[Chunk]:
         """All pending chunks whose ``eligible_time <= now``, in priority order."""
@@ -434,11 +453,11 @@ class PendingChunkPool:
 
     def busy_transmitters(self) -> Set[str]:
         """Transmitters with at least one pending chunk."""
-        return set(self._by_transmitter)
+        return set(self._tx_peers)
 
     def busy_receivers(self) -> Set[str]:
         """Receivers with at least one pending chunk."""
-        return set(self._by_receiver)
+        return set(self._rx_peers)
 
     def total_weight(self) -> float:
         """Sum of weights of all pending chunks."""
@@ -446,8 +465,16 @@ class PendingChunkPool:
 
     def weight_at_transmitter(self, transmitter: str) -> float:
         """Total pending chunk weight at ``transmitter`` (the β_{t,τ} quantity restricted to pending chunks)."""
-        return sum(c.weight for c in self._by_transmitter.get(transmitter, ()))
+        peers = self._tx_peers.get(transmitter)
+        if peers is None:
+            return 0
+        by_edge = self._by_edge
+        return _priority_weight([by_edge[(transmitter, rx)] for rx in peers])
 
     def weight_at_receiver(self, receiver: str) -> float:
         """Total pending chunk weight at ``receiver``."""
-        return sum(c.weight for c in self._by_receiver.get(receiver, ()))
+        peers = self._rx_peers.get(receiver)
+        if peers is None:
+            return 0
+        by_edge = self._by_edge
+        return _priority_weight([by_edge[(tx, receiver)] for tx in peers])

@@ -42,14 +42,11 @@ def chunk_priority_key(chunk: "Chunk") -> Tuple[float, float, int, int]:
     """Total-order key for chunks: heavier first, then earlier packet arrival.
 
     The final components (packet id, chunk index) make the order total so the
-    greedy matching is deterministic.
+    greedy matching is deterministic.  The tuple is built once, when the chunk
+    is created (:attr:`Chunk.key <repro.core.packet.Chunk>`), and returned
+    as is here.
     """
-    return (
-        -chunk.weight,
-        chunk.packet.arrival,
-        chunk.packet.packet_id,
-        chunk.index,
-    )
+    return chunk.key
 
 
 def chunk_fifo_key(chunk: "Chunk") -> Tuple[float, int, int]:

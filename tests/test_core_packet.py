@@ -11,6 +11,7 @@ from repro.core.packet import (
     split_into_chunks,
 )
 from repro.exceptions import DispatchError
+from repro.utils.ordering import chunk_priority_key
 
 
 class TestPacket:
@@ -96,6 +97,14 @@ class TestChunking:
         p = Packet(0, "s", "d", weight=1.0, arrival=1)
         chunk = split_into_chunks(p, "tx", "rx", edge_delay=1)[0]
         assert chunk.edge == ("tx", "rx")
+
+    def test_priority_key_computed_at_split(self):
+        p = Packet(7, "s", "d", weight=5.0, arrival=3)
+        chunks = split_into_chunks(p, "t", "r", edge_delay=3, head_delay=2)
+        for c in chunks:
+            assert c.key == (-c.weight, c.packet.arrival, c.packet.packet_id, c.index)
+            assert chunk_priority_key(c) is c.key
+        assert [c.key for c in chunks] == sorted(c.key for c in chunks)
 
 
 class TestAssignments:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.packet import Packet, split_into_chunks
 from repro.core.queues import PendingChunkPool
 from repro.exceptions import SimulationError
+from repro.utils.ordering import chunk_priority_key
 
 
 def make_chunks(pid: int, weight: float, edge=("t1", "r1"), arrival: int = 1, delay: int = 1):
@@ -122,11 +125,12 @@ class TestQueries:
 
 
 class TestSortedIndexes:
-    """The pool keeps every index in priority order via sorted insertion."""
+    """Edge queues stay in priority order via sorted insertion, and every
+    per-port view merged from them is in priority order too."""
 
     def test_adjacent_chunks_in_priority_order_without_duplicates(self):
         pool = PendingChunkPool()
-        shared = make_chunks(0, 3.0, edge=("t1", "r1"))[0]  # in both incidence lists
+        shared = make_chunks(0, 3.0, edge=("t1", "r1"))[0]  # at both ports
         at_tx = make_chunks(1, 5.0, edge=("t1", "r2"))[0]
         at_rx = make_chunks(2, 1.0, edge=("t2", "r1"))[0]
         for chunk in (shared, at_tx, at_rx):
@@ -151,6 +155,67 @@ class TestSortedIndexes:
             pool.add(make_chunks(pid, weight, edge=(f"t{pid}", f"r{pid}"))[0])
         weights = [c.weight for c in pool.eligible_chunks(now=10)]
         assert weights == [4.0, 2.0, 1.0]
+
+
+class TestPortViewsAgainstRecount:
+    """Per-port views are merged from the edge queues on demand; they must
+    equal a naive recount of the live chunks sorted by priority — same
+    objects, same order, and float sums added in that order, bit for bit."""
+
+    PORTS = 5
+
+    @staticmethod
+    def _assert_views(pool: PendingChunkPool, live: list) -> None:
+        ranked = sorted(live, key=chunk_priority_key)
+        assert pool.busy_transmitters() == {c.transmitter for c in live}
+        assert pool.busy_receivers() == {c.receiver for c in live}
+        for k in range(TestPortViewsAgainstRecount.PORTS):
+            tx, rx = f"t{k}", f"r{k}"
+            at_tx = [c for c in ranked if c.transmitter == tx]
+            at_rx = [c for c in ranked if c.receiver == rx]
+            assert pool.chunks_at_transmitter(tx) == at_tx
+            assert pool.chunks_at_receiver(rx) == at_rx
+            # Equality, not approx: the summation order is part of the contract.
+            assert pool.weight_at_transmitter(tx) == sum(c.weight for c in at_tx)
+            assert pool.weight_at_receiver(rx) == sum(c.weight for c in at_rx)
+            for j in range(TestPortViewsAgainstRecount.PORTS):
+                other = f"r{j}"
+                adjacent = pool.adjacent_chunks(tx, other)
+                assert len(set(adjacent)) == len(adjacent)
+                assert adjacent == [
+                    c for c in ranked if c.transmitter == tx or c.receiver == other
+                ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_walk(self, seed: int) -> None:
+        rng = random.Random(seed)
+        pool = PendingChunkPool()
+        live: list = []
+        now, next_pid = 1, 0
+        for _ in range(150):
+            op = rng.random()
+            if op < 0.5 or not live:
+                # Delays 3 and 7 give weights like 2.3/3 whose float sums
+                # depend on the order they are added in.
+                packet = Packet(next_pid, "s", "d",
+                                weight=rng.choice((1.0, 2.3, 2.3, 5.9, 7.1)),
+                                arrival=now)
+                next_pid += 1
+                edge = (f"t{rng.randrange(self.PORTS)}", f"r{rng.randrange(self.PORTS)}")
+                chunks = split_into_chunks(packet, *edge, edge_delay=rng.choice((1, 3, 7)),
+                                           head_delay=rng.randrange(3))
+                pool.add_all(chunks)
+                live.extend(chunks)
+            elif op < 0.85:
+                pool.remove(live.pop(rng.randrange(len(live))))
+            else:
+                now += rng.randrange(1, 3)
+                pool.advance_eligibility(now)
+            self._assert_views(pool, live)
+        for chunk in list(live):
+            pool.remove(chunk)
+            live.remove(chunk)
+        self._assert_views(pool, live)
 
 
 def delayed_chunk(pid: int, weight: float, edge=("t1", "r1"), arrival: int = 1, head_delay: int = 0):

@@ -222,6 +222,18 @@ class TestEngineDegradation:
         assert edges == [("t1", "r0")]
         assert faulted.summary()["num_slots"] < 7.0
 
+    @pytest.mark.parametrize("policy", ["fifo", "alg"])
+    def test_redispatch_keeps_priority_key(self, policy):
+        """A redispatch rewrites the chunk's edge, never its cached priority key."""
+        faulted = simulate(_fault_topology(), all_policies(seed=0)[policy], [_packet()],
+                           faults=_OUTAGE, on_fail="redispatch")
+        (chunk,) = faulted.record(0).chunks
+        assert chunk.edge == ("t1", "r0")  # moved off the failed laser t0
+        # Split on t0 (edge delay 1): the key still carries that weight.
+        assert chunk.key == (-1.0, 1, 0, 1)
+        assert chunk.key == (-chunk.weight, chunk.packet.arrival,
+                             chunk.packet.packet_id, chunk.index)
+
     def test_degraded_edge_halves_throughput(self):
         slowdown = FaultSchedule.from_events([
             FaultEvent(slot=1, action="degrade", kind="edge",

@@ -161,6 +161,99 @@ class TestEvictionCascade:
         assert index.current_matching() == [low]
 
 
+class TestLongBlockedRun:
+    """A scan walks past a long same-edge run that one strong owner blocks.
+
+    Port ``p0``'s highest-priority edge ``(p0, q0)`` holds ``RUN`` chunks, all
+    blocked by ``x`` on ``q0``.  Freeing ``p0`` makes the scan walk the run
+    (checking ``x`` once, then skipping the rest through its ``blocked``
+    set) while a pending higher-priority task forces it to defer before it
+    matches ``y``.  Removing or evicting ``x`` afterwards must re-cover the
+    skipped run.  ``flip`` mirrors the scenario onto the receiver side.
+    """
+
+    RUN = 60
+
+    @staticmethod
+    def _edge(p: str, q: str, flip: bool) -> tuple[str, str]:
+        """Edge between scanned-side port ``p`` and other-side port ``q``."""
+        return (f"t{q}", f"r{p}") if flip else (f"t{p}", f"r{q}")
+
+    def _build(self, flip: bool):
+        x = make_chunk(0, 100.0, self._edge("1", "0", flip))
+        run = [make_chunk(10 + k, 50.0, self._edge("0", "0", flip), arrival=1 + k % 3)
+               for k in range(self.RUN)]
+        y = make_chunk(1, 10.0, self._edge("0", "1", flip))
+        z = make_chunk(2, 60.0, self._edge("0", "2", flip))
+        return x, run, y, z
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("how", ["remove", "evict"])
+    def test_blocker_leaves_after_deferred_walk(self, flip: bool, how: str) -> None:
+        index = MatchingIndex()
+        x, run, y, z = self._build(flip)
+        eligible = [x, *run, y, z]
+        for chunk in eligible:
+            index.activate(chunk)
+        assert_matches_oracle(index, eligible)
+        assert z in index.current_matching() and x in index.current_matching()
+
+        # Free z's ports: the p0 scan starts at z's key, walks the run and
+        # defers at y to w's pending eval (weight between the run's and y's).
+        w = make_chunk(3, 20.0, ("t9", "r9"))
+        before = index.stats()["tasks"]
+        index.discard(z)
+        index.activate(w)
+        eligible.remove(z)
+        eligible.append(w)
+        assert_matches_oracle(index, eligible)
+        # More tasks than the three pushed (two scans for z's ports and w's
+        # eval): the p0 scan was re-pushed at least once.
+        assert index.stats()["tasks"] - before > 3
+        assert y in index.current_matching()
+
+        if how == "remove":
+            index.discard(x)
+            eligible.remove(x)
+        else:
+            # A heavier chunk on x's other port evicts x, freeing the run's port.
+            v = make_chunk(4, 200.0, self._edge("1", "8", flip))
+            index.activate(v)
+            eligible.append(v)
+        assert_matches_oracle(index, eligible)
+        assert run[0] in index.current_matching()
+
+        # Drain the run from the front and the middle; each step re-checks.
+        for chunk in run[:3] + run[self.RUN // 2 : self.RUN // 2 + 3]:
+            index.discard(chunk)
+            eligible.remove(chunk)
+            assert_matches_oracle(index, eligible)
+
+    def test_run_through_pool_with_head_delays(self) -> None:
+        """The same shape through the pool, with the run activating in waves."""
+        pool = PendingChunkPool(matching_index=True)
+        index = pool.matching_index
+        x = make_chunk(0, 100.0, ("t1", "r0"))
+        z = make_chunk(2, 60.0, ("t0", "r2"))
+        y = make_chunk(1, 10.0, ("t0", "r1"))
+        run = [make_chunk(10 + k, 50.0, ("t0", "r0"), head_delay=k % 4)
+               for k in range(self.RUN)]
+        for chunk in (x, z, y, *run):
+            pool.add(chunk)
+        for now, event in enumerate(["z", "w", "x", "run"], start=1):
+            if event == "z":
+                pool.remove(z)
+            elif event == "w":
+                pool.add(make_chunk(3, 20.0, ("t9", "r9"), arrival=now))
+            elif event == "x":
+                pool.remove(x)
+            else:
+                for chunk in run[::7]:
+                    pool.remove(chunk)
+            pool.advance_eligibility(now)
+            assert_matches_oracle(index, pool.eligible_chunks(now))
+
+
 class TestRandomWalks:
     """Add/remove/advance walks checked against the oracle on every step."""
 
