@@ -30,6 +30,18 @@ total back with one correctly-rounded division.  The result equals
 scan in :func:`repro.core.dispatcher.compute_edge_impact` uses — bit for bit,
 regardless of insertion order, deletion history or query interleaving.
 
+One scale serves the whole index: every mantissa is ``weight · 2**scale``
+for the index's single ``scale``, so a query adds the three keys' integers
+as they are and divides once by ``2**scale``.  The scale is the finest
+fractional precision of any weight indexed so far; a finer weight widens it
+by left-shifting every stored mantissa and prefix sum (exact, and rare: it
+stops once a workload's finest weight has been seen).  The quotient is the
+same exact rational a per-key scale would give, so the double is the same.
+
+A packet's ``d(e)`` chunks share their edge and weight, so the pool indexes
+them as one run: one exact-integer conversion and one slice insertion per
+key instead of ``d(e)``.
+
 Complexity: rank queries are two C-level bisections plus O(1) prefix lookups
 per key; inserts and removals are binary-search list updates that lazily
 invalidate the prefix-sum tail, which is re-consolidated at C speed
@@ -43,7 +55,7 @@ candidate.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Dict, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checking
@@ -56,7 +68,9 @@ class WeightStats:
     """Sorted multiset of one key's pending chunk weights, with exact sums.
 
     ``ws`` holds the weights ascending (duplicates allowed); ``ints`` holds
-    the parallel exact integer mantissas ``ints[i] = ws[i] · 2**scale``.
+    the parallel exact integer mantissas ``ints[i] = ws[i] · 2**scale``, at
+    the common ``scale`` of the enclosing :class:`ImpactIndex` (which
+    computes each mantissa and rescales every key when the scale widens).
     ``prefix`` caches exact prefix sums of ``ints`` up to the watermark
     ``_valid`` (``len(prefix) == _valid + 1`` always); a mutation at position
     ``p`` truncates the watermark to ``p`` and the next query re-extends it.
@@ -67,45 +81,29 @@ class WeightStats:
     never on the bisect-only queries.
     """
 
-    __slots__ = ("ws", "ints", "prefix", "scale", "_valid", "_counter")
+    __slots__ = ("ws", "ints", "prefix", "_valid", "_counter")
 
     def __init__(self, counter: list = None) -> None:
         self.ws: list = []
         self.ints: list = []
         self.prefix: list = [0]
-        self.scale = 0
         self._valid = 0
         self._counter = counter
-
-    def _exact_int(self, weight: float) -> int:
-        """``weight · 2**self.scale`` as an exact integer, widening the scale on demand.
-
-        Every finite double is ``num / den`` with ``den`` a power of two, so
-        a common power-of-two scale per key keeps all mantissas integral.  A
-        new weight needing a finer scale rescales the existing mantissas and
-        cached prefix sums by a left shift — exact, and rare outside
-        subnormal weights.
-        """
-        num, den = weight.as_integer_ratio()
-        dbits = den.bit_length() - 1
-        if dbits > self.scale:
-            shift = dbits - self.scale
-            self.ints = [value << shift for value in self.ints]
-            self.prefix = [value << shift for value in self.prefix]
-            self.scale = dbits
-        return num << (self.scale - dbits)
 
     def _invalidate_from(self, pos: int) -> None:
         if pos < self._valid:
             self._valid = pos
             del self.prefix[pos + 1:]
 
-    def insert(self, weight: float) -> None:
-        """Add one weight to the multiset."""
-        value = self._exact_int(weight)
+    def insert(self, weight: float, mantissa: int, count: int) -> None:
+        """Add ``count`` copies of ``weight``, whose exact mantissa is ``mantissa``.
+
+        Equal weights have equal mantissas, so the copies go in as one slice
+        at the weight's bisection point.
+        """
         pos = bisect_left(self.ws, weight)
-        self.ws.insert(pos, weight)
-        self.ints.insert(pos, value)
+        self.ws[pos:pos] = [weight] * count
+        self.ints[pos:pos] = [mantissa] * count
         self._invalidate_from(pos)
 
     def remove(self, weight: float) -> None:
@@ -115,6 +113,11 @@ class WeightStats:
         del self.ints[pos]
         self._invalidate_from(pos)
 
+    def rescale(self, shift: int) -> None:
+        """Multiply every mantissa and cached prefix sum by ``2**shift`` (exact)."""
+        self.ints = [value << shift for value in self.ints]
+        self.prefix = [value << shift for value in self.prefix]
+
     def __len__(self) -> int:
         return len(self.ws)
 
@@ -123,7 +126,7 @@ class WeightStats:
 
         Ties count as heavier (the pool's chunks belong to earlier packets).
         ``lighter_mantissa`` is the exact integer sum of the strictly lighter
-        weights at this key's ``scale``.
+        weights at the index's common scale.
         """
         pos = bisect_left(self.ws, weight)
         if pos > self._valid:
@@ -147,9 +150,15 @@ class ImpactIndex:
     scan.  Only the chunk's ``(transmitter, receiver, weight)`` enters the
     index — the impact rule is oblivious to arrival times, ids and remaining
     work, so work debits need no index maintenance at all.
+
+    Every key keeps its mantissas at one common power-of-two ``scale``, so a
+    query adds three integers and divides once.  A weight needing finer bits
+    than any seen before widens the scale, left-shifting every key's
+    mantissas; the scale only grows, so this stops once a workload's finest
+    weight has been indexed.
     """
 
-    __slots__ = ("_tx", "_rx", "_edge", "_consolidations")
+    __slots__ = ("_tx", "_rx", "_edge", "_consolidations", "_scale", "_denominator")
 
     def __init__(self) -> None:
         self._tx: Dict[str, WeightStats] = {}
@@ -157,29 +166,52 @@ class ImpactIndex:
         self._edge: Dict[Tuple[str, str], WeightStats] = {}
         # Shared consolidation tally, one cell handed to every WeightStats.
         self._consolidations = [0]
+        self._scale = 0
+        self._denominator = 1  # 2**scale
 
     @property
     def consolidations(self) -> int:
         """Lifetime count of lazy prefix-sum re-consolidations across all keys."""
         return self._consolidations[0]
 
-    def add(self, chunk: "Chunk") -> None:
-        """Index a chunk that entered the pool."""
+    def _mantissa(self, weight: float) -> int:
+        """``weight · 2**scale`` as an exact integer, widening the scale on demand.
+
+        Every finite double is ``num / den`` with ``den`` a power of two, so
+        one power-of-two scale keeps all mantissas integral.
+        """
+        num, den = weight.as_integer_ratio()
+        dbits = den.bit_length() - 1
+        if dbits > self._scale:
+            shift = dbits - self._scale
+            for stats in chain(self._tx.values(), self._rx.values(), self._edge.values()):
+                stats.rescale(shift)
+            self._scale = dbits
+            self._denominator = 1 << dbits
+        return num << (self._scale - dbits)
+
+    def add(self, chunk: "Chunk", count: int = 1) -> None:
+        """Index a run of ``count`` chunks that entered the pool.
+
+        Every chunk of the run has ``chunk``'s edge and weight (the pool passes
+        a run's head and length), so the weight is converted once per run.
+        """
         weight = chunk.weight
-        tx = self._tx.get(chunk.transmitter)
+        mantissa = self._mantissa(weight)
+        transmitter, receiver = chunk.transmitter, chunk.receiver
+        consolidations = self._consolidations
+        tx = self._tx.get(transmitter)
         if tx is None:
-            tx = self._tx[chunk.transmitter] = WeightStats(self._consolidations)
-        tx.insert(weight)
-        rx = self._rx.get(chunk.receiver)
+            tx = self._tx[transmitter] = WeightStats(consolidations)
+        tx.insert(weight, mantissa, count)
+        rx = self._rx.get(receiver)
         if rx is None:
-            rx = self._rx[chunk.receiver] = WeightStats(self._consolidations)
-        rx.insert(weight)
-        edge = self._edge.get((chunk.transmitter, chunk.receiver))
+            rx = self._rx[receiver] = WeightStats(consolidations)
+        rx.insert(weight, mantissa, count)
+        edge = self._edge.get((transmitter, receiver))
         if edge is None:
-            edge = self._edge[(chunk.transmitter, chunk.receiver)] = WeightStats(
-                self._consolidations
-            )
-        edge.insert(weight)
+            edge = self._edge[(transmitter, receiver)] = WeightStats(consolidations)
+        edge.insert(weight, mantissa, count)
 
     def discard(self, chunk: "Chunk") -> None:
         """Drop a chunk that left the pool."""
@@ -202,6 +234,8 @@ class ImpactIndex:
         self._tx.clear()
         self._rx.clear()
         self._edge.clear()
+        self._scale = 0
+        self._denominator = 1
 
     def query(self, transmitter: str, receiver: str, weight: float) -> Tuple[int, int, float]:
         """``(num_heavier, num_lighter, lighter_weight)`` for one candidate edge.
@@ -212,35 +246,28 @@ class ImpactIndex:
         lighter weights, correctly rounded to a double — bit-identical to
         ``math.fsum`` over the same weights in any order.
         """
-        num_heavier = 0
-        num_lighter = 0
-        parts = []  # (signed exact mantissa, scale) per contributing key
         tx = self._tx.get(transmitter)
-        if tx is not None:
-            heavier, lighter, mantissa = tx.query(weight)
-            num_heavier += heavier
-            num_lighter += lighter
-            parts.append((mantissa, tx.scale))
         rx = self._rx.get(receiver)
-        if rx is not None:
-            heavier, lighter, mantissa = rx.query(weight)
-            num_heavier += heavier
-            num_lighter += lighter
-            parts.append((mantissa, rx.scale))
-        if tx is not None and rx is not None:
-            # Chunks pending on (transmitter, receiver) itself sit in both
-            # incidence multisets; subtract them once.
-            edge = self._edge.get((transmitter, receiver))
-            if edge is not None:
-                heavier, lighter, mantissa = edge.query(weight)
-                num_heavier -= heavier
-                num_lighter -= lighter
-                parts.append((-mantissa, edge.scale))
-        if not parts:
-            return 0, 0, 0.0
-        common = max(scale for _, scale in parts)
-        total = sum(mantissa << (common - scale) for mantissa, scale in parts)
-        # Exact-integer total over the union multiset; int/int true division
-        # is correctly rounded, so this equals fsum of the lighter weights.
-        lighter_weight = total / (1 << common) if total else 0.0
-        return num_heavier, num_lighter, lighter_weight
+        if tx is None:
+            if rx is None:
+                return 0, 0, 0.0
+            num_heavier, num_lighter, total = rx.query(weight)
+        else:
+            num_heavier, num_lighter, total = tx.query(weight)
+            if rx is not None:
+                heavier, lighter, mantissa = rx.query(weight)
+                num_heavier += heavier
+                num_lighter += lighter
+                total += mantissa
+                # Chunks pending on (transmitter, receiver) itself sit in both
+                # incidence multisets; subtract them once.
+                edge = self._edge.get((transmitter, receiver))
+                if edge is not None:
+                    heavier, lighter, mantissa = edge.query(weight)
+                    num_heavier -= heavier
+                    num_lighter -= lighter
+                    total -= mantissa
+        # Exact-integer total over the union multiset at the common scale;
+        # int/int true division is correctly rounded, so this equals fsum of
+        # the lighter weights.
+        return num_heavier, num_lighter, total / self._denominator if total else 0.0

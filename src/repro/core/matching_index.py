@@ -36,8 +36,9 @@ eligible set.  The differential harness and the property tests in
 
 Two task kinds exist:
 
-* ``eval(c)`` — decide chunk ``c`` at its own priority: match it (evicting
-  lower-priority port owners) iff both ports are free or lower-priority.
+* ``eval(run)`` — decide an activated run's head ``c`` at its own priority:
+  match it (evicting lower-priority port owners) iff both ports are free or
+  lower-priority.
 * ``scan(side, port, from_key)`` — a port was freed by a chunk with priority
   ``from_key``; find the highest-priority chunk below ``from_key`` on the
   port whose other port is also free (or lower-priority).  Before committing
@@ -45,6 +46,26 @@ Two task kinds exist:
   than ``u`` by re-pushing itself at ``u``'s key — this is what keeps
   decisions globally priority-ordered even when several ports are repaired
   at once.
+
+One ``eval`` per run
+--------------------
+A packet dispatched to edge ``e`` becomes ``d(e)`` chunks with the same edge,
+weight and eligibility time, so they activate together as a *run*:
+consecutive entries in the priority order (their keys differ only in the
+chunk index).  Only the run's head gets an ``eval`` task.  Every later chunk
+of the run shares both ports with the head and ranks below it, so when the
+head is evaluated either
+
+* it wins both ports, and then owns them against the rest of the run, or
+* it is blocked by an owner that outranks it, and therefore outranks the
+  whole run.
+
+Either way the rest of the run is unmatched in the greedy pass, exactly as
+their own evals would have found.  Any later release of those ports — the
+head's removal, or the eviction or removal of the blocking owner — pushes a
+scan from the releaser's key, which ranks above the whole run, so that scan
+walks the run.  If the head leaves the pool before its ``eval`` runs, the
+first remaining chunk of the run is decided in its place.
 
 Chunks are stored per *port*: every transmitter and every receiver keeps
 its eligible chunks as key-sorted ``(priority key, chunk)`` pairs.  The key
@@ -70,7 +91,7 @@ walk is the number of entries a scan reads.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -92,12 +113,19 @@ _SCAN_TX = 1
 _SCAN_RX = 2
 
 
-def _insert(lists: Dict[str, List[_Entry]], port: str, entry: _Entry) -> None:
-    entries = lists.get(port)
-    if entries is None:
-        lists[port] = [entry]
+def _insert(lists: Dict[str, List[_Entry]], port: str, entries: List[_Entry]) -> None:
+    """Insert a run's consecutive entries into ``port``'s list with one slice.
+
+    No existing entry lies between the run's first and last keys (those keys
+    belong to the run's own packet, at the run's own indices), so the whole
+    run goes in at its head's bisection point.
+    """
+    existing = lists.get(port)
+    if existing is None:
+        lists[port] = list(entries)
     else:
-        insort(entries, entry)
+        pos = bisect_left(existing, (entries[0][0],))
+        existing[pos:pos] = entries
 
 
 def _delete(lists: Dict[str, List[_Entry]], port: str, key: _Key) -> None:
@@ -154,16 +182,23 @@ class MatchingIndex:
     # ------------------------------------------------------------------ #
     # events (pushed by the pool)
     # ------------------------------------------------------------------ #
-    def activate(self, chunk: Chunk) -> None:
-        """Track a chunk that just became eligible."""
-        if chunk in self._eligible:
-            raise SimulationError(f"chunk {chunk!r} is already tracked by the matching index")
-        self._eligible.add(chunk)
-        key = chunk.key
-        entry = (key, chunk)
-        _insert(self._tx_chunks, chunk.transmitter, entry)
-        _insert(self._rx_chunks, chunk.receiver, entry)
-        self._push(key, _EVAL, chunk)
+    def activate(self, *run: Chunk) -> None:
+        """Track a run of chunks that just became eligible.
+
+        A run is consecutive chunks of one packet on one edge (a single chunk
+        is a run of one); the pool activates each packet's chunks as one.
+        Only the head gets an ``eval`` task: see the module docstring.
+        """
+        eligible = self._eligible
+        for chunk in run:
+            if chunk in eligible:
+                raise SimulationError(f"chunk {chunk!r} is already tracked by the matching index")
+        eligible.update(run)
+        head = run[0]
+        entries = [(chunk.key, chunk) for chunk in run]
+        _insert(self._tx_chunks, head.transmitter, entries)
+        _insert(self._rx_chunks, head.receiver, entries)
+        self._push(head.key, _EVAL, run)
 
     def discard(self, chunk: Chunk) -> None:
         """Stop tracking an eligible chunk that left the pool.
@@ -244,9 +279,21 @@ class MatchingIndex:
             else:
                 self._scan(payload[0], key, payload[1], is_tx=False)
 
-    def _eval(self, chunk: Chunk) -> None:
-        """Decide ``chunk`` at its own priority position."""
-        if chunk not in self._eligible or chunk in self._matched:
+    def _eval(self, run: Tuple[Chunk, ...]) -> None:
+        """Decide an activated run at its head's priority position.
+
+        Chunks of the run removed before this task ran never held a port
+        (ports change hands only inside :meth:`_drain`), and no other task
+        key lies between theirs and the first remaining chunk's, so that
+        chunk is decided in the head's place.
+        """
+        eligible = self._eligible
+        for chunk in run:
+            if chunk in eligible:
+                break
+        else:
+            return
+        if chunk in self._matched:
             return
         key = chunk.key
         tx_owner = self._tx_owner.get(chunk.transmitter)

@@ -9,6 +9,20 @@ the chunk's lifetime (the engine mutates ``remaining_work``, and a fault
 redispatch only moves the chunk between edges by removing and re-adding
 it), so an insertion or removal is one bisect on cached keys.
 
+Run admission
+-------------
+A packet dispatched to edge ``e`` becomes ``d(e)`` chunks with the same edge,
+weight and eligibility time, whose keys differ only in the chunk index.
+:meth:`PendingChunkPool.add_all` splits its input into such *runs* and
+admits each run with one bisect and one slice insertion per sorted
+structure: the edge queue, the eligible views, the matching index's port
+lists and the impact index's multisets.  The slice is always in place: the
+only keys that could fall between a run's first and last key belong to the
+same packet at indices in between, which are the run itself (duplicates are
+rejected).  :meth:`~PendingChunkPool.add` is a run of one, so there is a
+single insertion path.  Checks stay per chunk, and the pending-work counter
+still adds each chunk's work in order, so its float is unchanged.
+
 Two peer sets per port (the receivers a transmitter has pending chunks
 towards, and the transmitters feeding a receiver) record which edge queues
 are non-empty.  The per-port views — :meth:`chunks_at_transmitter`,
@@ -39,25 +53,65 @@ currently eligible.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.impact_index import ImpactIndex
 from repro.core.matching_index import MatchingIndex
 from repro.core.packet import Chunk
 from repro.exceptions import SimulationError
-from repro.utils.ordering import chunk_fifo_key, chunk_priority_key
+from repro.utils.ordering import chunk_fifo_key
 
 __all__ = ["PendingChunkPool"]
+
+#: The chunk priority key as a C-level getter, for this module's bisects and
+#: sorts (same order as :func:`~repro.utils.ordering.chunk_priority_key`).
+_key = attrgetter("key")
+
+
+def _runs(chunks: Iterable[Chunk]) -> Iterator[List[Chunk]]:
+    """Split ``chunks`` into runs: maximal stretches of one packet's chunks
+    with consecutive indices, on one edge, with one weight and one
+    ``eligible_time``.
+
+    A run's priority keys differ only in the chunk index, so no other chunk's
+    key lies between its first and last key, and each sorted structure takes
+    the whole run with one bisect and one slice insertion.
+    """
+    run: List[Chunk] = []
+    for chunk in chunks:
+        if run:
+            last = run[-1]
+            if (
+                chunk.packet is last.packet
+                and chunk.index == last.index + 1
+                and chunk.transmitter == last.transmitter
+                and chunk.receiver == last.receiver
+                and chunk.weight == last.weight
+                and chunk.eligible_time == last.eligible_time
+            ):
+                run.append(chunk)
+                continue
+            yield run
+        run = [chunk]
+    if run:
+        yield run
+
+
+def _insert_run(chunks: List[Chunk], run: List[Chunk], key=_key) -> None:
+    """Insert a run into a list sorted by ``key`` with one bisect and one slice."""
+    pos = bisect_left(chunks, key(run[0]), key=key)
+    chunks[pos:pos] = run
 
 
 def _sorted_remove(chunks: List[Chunk], chunk: Chunk) -> None:
     """Remove ``chunk`` from a priority-sorted list (O(log n) search, O(n) tail shift)."""
     # The priority key is a total order (it ends in packet id / chunk
     # index), so the chunk sits exactly at its key's bisection point.
-    del chunks[bisect_left(chunks, chunk.key, key=chunk_priority_key)]
+    del chunks[bisect_left(chunks, chunk.key, key=_key)]
 
 
 def _merge_queues(queues: List[List[Chunk]]) -> List[Chunk]:
@@ -68,7 +122,7 @@ def _merge_queues(queues: List[List[Chunk]]) -> List[Chunk]:
     ports have at most one non-empty queue, which is copied as is.
     """
     if len(queues) > 1:
-        return sorted(chain.from_iterable(queues), key=chunk_priority_key)
+        return sorted(chain.from_iterable(queues), key=_key)
     return list(queues[0]) if queues else []
 
 
@@ -150,38 +204,49 @@ class PendingChunkPool:
     # ------------------------------------------------------------------ #
     def add(self, chunk: Chunk) -> None:
         """Add a pending chunk to the pool."""
-        if chunk in self._all:
-            raise SimulationError(f"chunk {chunk!r} is already in the pool")
-        if not chunk.pending:
-            raise SimulationError(f"cannot add non-pending chunk {chunk!r}")
-        self._all.add(chunk)
-        self._size += 1
-        self._pending_work += chunk.remaining_work
-        self._impact_fingerprint += hash((chunk.transmitter, chunk.receiver, chunk.weight))
+        self._add_run([chunk])
+
+    def add_all(self, chunks: Iterable[Chunk]) -> None:
+        """Add every chunk in ``chunks`` to the pool, one run at a time."""
+        for run in _runs(chunks):
+            self._add_run(run)
+
+    def _add_run(self, run: List[Chunk]) -> None:
+        """Admit one run (see :func:`_runs`): every chunk is validated, then
+        each sorted structure takes the run in one slice insertion."""
+        members = self._all
+        for chunk in run:
+            if chunk in members:
+                raise SimulationError(f"chunk {chunk!r} is already in the pool")
+            if not chunk.pending:
+                raise SimulationError(f"cannot add non-pending chunk {chunk!r}")
+        head = run[0]
+        count = len(run)
+        members.update(run)
+        self._size += count
+        for chunk in run:  # chunk by chunk, so the float sum is unchanged
+            self._pending_work += chunk.remaining_work
+        tx, rx = head.transmitter, head.receiver
+        self._impact_fingerprint += count * hash((tx, rx, head.weight))
         if self._impact_index is not None:
-            self._impact_index.add(chunk)
-        if chunk.eligible_time <= self._eligible_through:
-            self._activate(chunk)
+            self._impact_index.add(head, count)
+        eligible_time = head.eligible_time
+        if eligible_time <= self._eligible_through:
+            self._activate(run)
         else:
-            bucket = self._future.get(chunk.eligible_time)
+            bucket = self._future.get(eligible_time)
             if bucket is None:
-                self._future[chunk.eligible_time] = [chunk]
-                heappush(self._future_times, chunk.eligible_time)
+                self._future[eligible_time] = list(run)
+                heappush(self._future_times, eligible_time)
             else:
-                bucket.append(chunk)
-        tx, rx = chunk.transmitter, chunk.receiver
+                bucket.extend(run)
         edge_list = self._by_edge.get((tx, rx))
         if edge_list is None:
-            self._by_edge[(tx, rx)] = [chunk]
+            self._by_edge[(tx, rx)] = list(run)
             self._tx_peers.setdefault(tx, set()).add(rx)
             self._rx_peers.setdefault(rx, set()).add(tx)
         else:
-            insort(edge_list, chunk, key=chunk_priority_key)
-
-    def add_all(self, chunks: Iterable[Chunk]) -> None:
-        """Add every chunk in ``chunks`` to the pool."""
-        for chunk in chunks:
-            self.add(chunk)
+            _insert_run(edge_list, run)
 
     def remove(self, chunk: Chunk) -> None:
         """Remove a chunk (typically because it finished transmission)."""
@@ -263,7 +328,7 @@ class PendingChunkPool:
         """Switch the incremental matching index on, backfilling eligible chunks."""
         if self._matching_index is None:
             index = MatchingIndex()
-            for chunk in sorted(self._eligible_set, key=chunk_priority_key):
+            for chunk in sorted(self._eligible_set, key=_key):
                 index.activate(chunk)
             self._matching_index = index
         return self._matching_index
@@ -271,20 +336,22 @@ class PendingChunkPool:
     # ------------------------------------------------------------------ #
     # eligibility partition
     # ------------------------------------------------------------------ #
-    def _activate(self, chunk: Chunk) -> None:
-        """Move a chunk into the eligible partition's iteration structures."""
-        self._eligible_set.add(chunk)
+    def _activate(self, run: List[Chunk]) -> None:
+        """Move a run into the eligible partition's iteration structures."""
+        self._eligible_set.update(run)
         if self._eligible is not None:
-            insort(self._eligible, chunk, key=chunk_priority_key)
+            _insert_run(self._eligible, run)
         if self._eligible_fifo is not None:
-            insort(self._eligible_fifo, chunk, key=chunk_fifo_key)
+            # A run is consecutive in FIFO order too: same packet, and
+            # consecutive indices.
+            _insert_run(self._eligible_fifo, run, chunk_fifo_key)
         if self._matching_index is not None:
-            self._matching_index.activate(chunk)
+            self._matching_index.activate(*run)
 
     def _sorted_eligible(self) -> List[Chunk]:
         """The priority-ordered view of the eligible set, built on first use."""
         if self._eligible is None:
-            self._eligible = sorted(self._eligible_set, key=chunk_priority_key)
+            self._eligible = sorted(self._eligible_set, key=_key)
         return self._eligible
 
     def advance_eligibility(self, now: int) -> None:
@@ -297,8 +364,10 @@ class PendingChunkPool:
             due = heappop(times)
             bucket = self._future.pop(due, None)
             if bucket:
-                for chunk in bucket:
-                    self._activate(chunk)
+                # Buckets keep admission order, so runs stay together
+                # (a removal at most splits one).
+                for run in _runs(bucket):
+                    self._activate(run)
 
     @property
     def eligible_through(self) -> int:
@@ -467,7 +536,7 @@ class PendingChunkPool:
         """Total pending chunk weight at ``transmitter`` (the β_{t,τ} quantity restricted to pending chunks)."""
         peers = self._tx_peers.get(transmitter)
         if peers is None:
-            return 0
+            return 0.0
         by_edge = self._by_edge
         return _priority_weight([by_edge[(transmitter, rx)] for rx in peers])
 
@@ -475,6 +544,6 @@ class PendingChunkPool:
         """Total pending chunk weight at ``receiver``."""
         peers = self._rx_peers.get(receiver)
         if peers is None:
-            return 0
+            return 0.0
         by_edge = self._by_edge
         return _priority_weight([by_edge[(tx, receiver)] for tx in peers])

@@ -434,3 +434,130 @@ class TestFaultEvictionCornerCases:
         assert pool.is_empty()
         pool.add_all(stranded)  # recovery replays the eviction list
         assert pool.chunks_on_edge("t1", "r1") == [heavy, middle, light]
+
+
+class TestRunAdmission:
+    """``add_all`` admits each packet's chunks as one run; a twin pool fed the
+    same chunks one at a time must stay equal to it after every step."""
+
+    PORTS = 4
+
+    def test_idle_port_weight_is_a_float(self):
+        pool = PendingChunkPool()
+        assert type(pool.weight_at_transmitter("t1")) is float
+        assert type(pool.weight_at_receiver("r1")) is float
+
+    def test_add_all_splits_runs(self):
+        pool = PendingChunkPool(matching_index=True)
+        a = make_chunks(0, 2.0, edge=("t1", "r1"), delay=3)
+        b = make_chunks(1, 2.0, edge=("t1", "r2"), delay=2)
+        pool.add_all(a + b)  # two runs: different packets
+        c = make_chunks(2, 1.0, edge=("t2", "r1"), delay=3)
+        pool.add_all([c[0], c[2]])  # an index gap splits the runs
+        assert pool.chunks_on_edge("t1", "r1") == a
+        assert pool.chunks_on_edge("t1", "r2") == b
+        assert pool.chunks_on_edge("t2", "r1") == [c[0], c[2]]
+        # Promotion from the future bucket splits it into the same runs.
+        pool.advance_eligibility(1)
+        assert pool.matching_index.stats()["tasks"] == 0
+        # b (weight 1.0) outranks a (2/3) on t1; c (1/3) takes r1.
+        assert pool.matching_index.current_matching() == [b[0], c[0]]
+        assert pool.matching_index.stats()["tasks"] == 4  # one eval per run
+
+    def test_weight_change_ends_a_run(self):
+        # Consecutive chunks of one packet from splits of different sizes
+        # are not one run: another packet's key can fall between them.
+        pool = PendingChunkPool(impact_index=True)
+        packet = Packet(0, "s", "d", weight=6.0, arrival=1)
+        halves = split_into_chunks(packet, "t1", "r1", edge_delay=2)
+        thirds = split_into_chunks(packet, "t1", "r1", edge_delay=3)
+        middle = make_chunks(1, 2.5)[0]
+        pool.add(middle)
+        pool.add_all([halves[0], thirds[1]])
+        ranked = sorted([halves[0], thirds[1], middle], key=chunk_priority_key)
+        assert pool.chunks_on_edge("t1", "r1") == ranked == [halves[0], middle, thirds[1]]
+
+    def test_run_validation_is_per_chunk(self):
+        pool = PendingChunkPool()
+        chunks = make_chunks(0, 1.0, delay=3)
+        chunks[2].remaining_work = 0.0
+        with pytest.raises(SimulationError):
+            pool.add_all(chunks)
+        pool = PendingChunkPool()
+        chunks = make_chunks(0, 1.0, delay=3)
+        pool.add(chunks[1])
+        with pytest.raises(SimulationError):
+            pool.add_all(chunks)
+
+    @staticmethod
+    def _assert_twins(runs: PendingChunkPool, single: PendingChunkPool, now: int,
+                      rng: random.Random) -> None:
+        ports = range(TestRunAdmission.PORTS)
+        for k in ports:
+            tx, rx = f"t{k}", f"r{k}"
+            assert runs.chunks_at_transmitter(tx) == single.chunks_at_transmitter(tx)
+            assert runs.chunks_at_receiver(rx) == single.chunks_at_receiver(rx)
+            assert runs.weight_at_transmitter(tx) == single.weight_at_transmitter(tx)
+            assert runs.weight_at_receiver(rx) == single.weight_at_receiver(rx)
+            for j in ports:
+                other = f"r{j}"
+                assert runs.chunks_on_edge(tx, other) == single.chunks_on_edge(tx, other)
+                weight = rng.choice((0.1, 0.5, 1.0, 2.3 / 3, 7.1 / 4, 9.0))
+                assert runs.impact_index.query(tx, other, weight) == (
+                    single.impact_index.query(tx, other, weight)
+                )
+        assert runs.busy_transmitters() == single.busy_transmitters()
+        assert runs.busy_receivers() == single.busy_receivers()
+        assert runs.matching_index.current_matching() == (
+            single.matching_index.current_matching()
+        )
+        assert runs.eligible_chunks(now) == single.eligible_chunks(now)
+        assert list(runs.iter_eligible_fifo(now)) == list(single.iter_eligible_fifo(now))
+        assert runs.impact_fingerprint == single.impact_fingerprint
+        # Bit-exact: the pending-work counter adds the same floats in order.
+        assert runs.total_pending_work() == single.total_pending_work()
+        assert runs.occupancy() == single.occupancy()
+        assert runs.next_activation_time() == single.next_activation_time()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_run_admission_equals_chunk_by_chunk(self, seed: int) -> None:
+        rng = random.Random(seed)
+        runs = PendingChunkPool(impact_index=True, matching_index=True)
+        single = PendingChunkPool(impact_index=True, matching_index=True)
+        live: list = []
+        now, next_pid = 1, 0
+        saw_promotion = saw_tie = False
+        for step in range(200):
+            op = rng.random()
+            if op < 0.45 or not live:
+                # Few weights and arrivals: runs of different packets tie on
+                # (-w, arrival) and are ordered by packet id alone.
+                arrival = max(1, now - rng.randrange(2))
+                batch = []
+                for _ in range(rng.choice((1, 1, 2))):
+                    packet = Packet(next_pid, "s", "d",
+                                    weight=rng.choice((2.3, 2.3, 7.1)), arrival=arrival)
+                    next_pid += 1
+                    edge = (f"t{rng.randrange(self.PORTS)}", f"r{rng.randrange(self.PORTS)}")
+                    batch.extend(split_into_chunks(
+                        packet, *edge, edge_delay=rng.choice((1, 3, 4)),
+                        head_delay=rng.randrange(4),
+                    ))
+                keys = {c.key[:2] for c in live}
+                saw_tie |= any(c.key[:2] in keys for c in batch)
+                runs.add_all(batch)
+                for chunk in batch:
+                    single.add(chunk)
+                live.extend(batch)
+            elif op < 0.75:
+                chunk = live.pop(rng.randrange(len(live)))
+                runs.remove(chunk)
+                single.remove(chunk)
+            else:
+                before = runs.occupancy()["future_chunks"]
+                now += rng.randrange(1, 3)
+                runs.advance_eligibility(now)
+                single.advance_eligibility(now)
+                saw_promotion |= runs.occupancy()["future_chunks"] < before
+            self._assert_twins(runs, single, now, rng)
+        assert saw_promotion and saw_tie

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dispatcher import compute_edge_impact, compute_edge_impact_indexed
-from repro.core.impact_index import ImpactIndex, WeightStats
+from repro.core.impact_index import ImpactIndex
 from repro.core.packet import Chunk, Packet
 from repro.core.queues import PendingChunkPool
 from repro.exceptions import SimulationError
@@ -63,40 +63,81 @@ def naive_stats(
 
 
 # ---------------------------------------------------------------------- #
-# WeightStats: the per-key multiset
+# WeightStats: the per-key multiset, at the index's common scale
 # ---------------------------------------------------------------------- #
+def _index_with(*weights: float, transmitter: str = "t0", receiver: str = "r0") -> ImpactIndex:
+    index = ImpactIndex()
+    for pid, w in enumerate(weights):
+        index.add(make_chunk(pid, w, transmitter, receiver))
+    return index
+
+
+def _key_query(index: ImpactIndex, transmitter: str, weight: float) -> Tuple[int, int, float]:
+    """One key's ``WeightStats.query``, with the mantissa converted back to a weight."""
+    heavier, lighter, mantissa = index._tx[transmitter].query(weight)
+    return heavier, lighter, mantissa / (1 << index._scale)
+
+
 def test_weight_stats_tie_counts_as_heavier() -> None:
-    stats = WeightStats()
-    for w in (2.0, 2.0, 1.0, 3.0):
-        stats.insert(w)
-    heavier, lighter, mantissa = stats.query(2.0)
-    assert (heavier, lighter) == (3, 1)  # both 2.0s and the 3.0 are "heavier"
-    assert mantissa / (1 << stats.scale) == 1.0
+    index = _index_with(2.0, 2.0, 1.0, 3.0)
+    # Both 2.0s and the 3.0 are "heavier".
+    assert _key_query(index, "t0", 2.0) == (3, 1, 1.0)
 
 
 def test_weight_stats_interleaved_mutations_and_queries() -> None:
-    stats = WeightStats()
-    stats.insert(5.0)
-    stats.insert(1.0)
-    assert stats.query(3.0)[:2] == (1, 1)
-    stats.insert(2.0)  # invalidates the cached prefix below rank 2
-    assert stats.query(3.0)[:2] == (1, 2)
-    stats.remove(1.0)
-    heavier, lighter, mantissa = stats.query(10.0)
-    assert (heavier, lighter) == (0, 2)
-    assert mantissa / (1 << stats.scale) == 7.0
+    index = ImpactIndex()
+    five, one, two = (make_chunk(pid, w, "t0", "r0") for pid, w in enumerate((5.0, 1.0, 2.0)))
+    index.add(five)
+    index.add(one)
+    assert _key_query(index, "t0", 3.0)[:2] == (1, 1)
+    index.add(two)  # invalidates the cached prefix below rank 2
+    assert _key_query(index, "t0", 3.0)[:2] == (1, 2)
+    index.discard(one)
+    assert _key_query(index, "t0", 10.0) == (0, 2, 7.0)
 
 
 def test_weight_stats_scale_widens_for_fine_mantissas() -> None:
-    stats = WeightStats()
-    stats.insert(3.0)            # integral: scale stays 0
-    assert stats.scale == 0
+    index = _index_with(3.0)     # integral: scale stays 0
+    assert index._scale == 0
+    stats = index._tx["t0"]
+    assert stats.ints == [3]
     tiny = 2.0**-40
-    stats.insert(tiny)           # needs 40 fractional bits
-    assert stats.scale == 40
-    heavier, lighter, mantissa = stats.query(1.0)
-    assert (heavier, lighter) == (1, 1)
-    assert mantissa / (1 << stats.scale) == tiny
+    index.add(make_chunk(1, tiny, "t0", "r0"))  # needs 40 fractional bits
+    assert index._scale == 40
+    # The existing mantissa was rescaled with the index.
+    assert stats.ints == [1, 3 << 40]
+    assert _key_query(index, "t0", 1.0) == (1, 1, tiny)
+
+
+def test_keys_meet_at_different_scales() -> None:
+    """A key whose prefix sums were consolidated at one scale is rescaled
+    exactly when another key brings a finer weight."""
+    index = ImpactIndex()
+    index.add(make_chunk(0, 3.0, "t0", "r0"))
+    index.add(make_chunk(1, 0.75, "t0", "r0"))
+    # Consolidate t0's prefix sums at scale 2 (0.75 needs two bits).
+    assert index.query("t0", "r9", 10.0) == (0, 2, 3.75)
+    assert index._scale == 2
+    tiny = 2.0**-40
+    index.add(make_chunk(2, tiny, "t1", "r1"))
+    assert index._scale == 40
+    index.add(make_chunk(3, 1.5, "t0", "r1"))
+    chunks_weights = {("t0", "r0"): [3.0, 0.75], ("t1", "r1"): [tiny], ("t0", "r1"): [1.5]}
+    for transmitter, receiver in (("t0", "r1"), ("t1", "r0"), ("t0", "r0"), ("t1", "r1")):
+        adjacent = [
+            w
+            for (t, r), ws in chunks_weights.items()
+            if t == transmitter or r == receiver
+            for w in ws
+        ]
+        for weight in (1.0, 2.0, 10.0):
+            lighter = [w for w in adjacent if w < weight]
+            heavier = len(adjacent) - len(lighter)
+            assert index.query(transmitter, receiver, weight) == (
+                heavier,
+                len(lighter),
+                math.fsum(lighter),
+            ), (transmitter, receiver, weight)
 
 
 # ---------------------------------------------------------------------- #
@@ -157,17 +198,11 @@ def test_index_matches_naive_scan_on_random_walks(ops) -> None:
 )
 def test_lighter_sum_is_order_independent_and_exact(weights, query) -> None:
     """Insertion order never changes the exact lighter-weight sum."""
-    forward = WeightStats()
-    for w in weights:
-        forward.insert(w)
-    backward = WeightStats()
-    for w in reversed(weights):
-        backward.insert(w)
-    f = forward.query(query)
-    b = backward.query(query)
-    assert f[:2] == b[:2]
-    assert f[2] / (1 << forward.scale) == b[2] / (1 << backward.scale)
-    assert f[2] / (1 << forward.scale) == math.fsum(w for w in weights if w < query)
+    forward = _index_with(*weights)
+    backward = _index_with(*reversed(weights))
+    f = _key_query(forward, "t0", query)
+    assert f == _key_query(backward, "t0", query)
+    assert f[2] == math.fsum(w for w in weights if w < query)
 
 
 # ---------------------------------------------------------------------- #

@@ -254,6 +254,97 @@ class TestLongBlockedRun:
             assert_matches_oracle(index, pool.eligible_chunks(now))
 
 
+def make_run(pid: int, weight: float, edge: tuple[str, str], delay: int = 4,
+             arrival: int = 1, head_delay: int = 0) -> list[Chunk]:
+    """One packet's ``delay`` chunks on ``edge``: the run the pool activates at once."""
+    packet = Packet(pid, "s", "d", weight=weight, arrival=arrival)
+    return split_into_chunks(packet, edge[0], edge[1], edge_delay=delay, head_delay=head_delay)
+
+
+class TestRunActivation:
+    """A packet's chunks activate as one run with a single ``eval`` task."""
+
+    def test_run_adds_one_eval(self):
+        index = MatchingIndex()
+        other = make_chunk(0, 1.0, ("t2", "r2"))
+        index.activate(other)
+        index.current_matching()
+        before = index.stats()["tasks"]
+        run = make_run(1, 8.0, ("t1", "r1"))
+        index.activate(*run)
+        assert_matches_oracle(index, [other, *run])
+        assert index.stats()["tasks"] == before + 1
+
+    def test_blocked_head_released_by_owner_removal(self):
+        index = MatchingIndex()
+        owner = make_chunk(0, 9.0, ("t2", "r1"))  # outranks the run on r1
+        bystander = make_chunk(1, 0.5, ("t1", "r3"))
+        run = make_run(2, 8.0, ("t1", "r1"))
+        eligible = [owner, bystander]
+        index.activate(owner)
+        index.activate(bystander)
+        assert_matches_oracle(index, eligible)
+        index.activate(*run)
+        eligible += run
+        assert_matches_oracle(index, eligible)
+        assert run[0] not in index.current_matching()
+        index.discard(owner)  # r1 freed: the scan walks to the run's head
+        eligible.remove(owner)
+        assert_matches_oracle(index, eligible)
+        assert index.current_matching() == [run[0]]
+        for chunk in run:  # each removal hands the ports to the next chunk
+            index.discard(chunk)
+            eligible.remove(chunk)
+            assert_matches_oracle(index, eligible)
+        assert index.current_matching() == [bystander]
+
+    def test_head_removed_before_its_eval(self):
+        index = MatchingIndex()
+        rival = make_chunk(0, 1.0, ("t1", "r2"))
+        index.activate(rival)
+        index.current_matching()
+        run = make_run(1, 8.0, ("t1", "r1"))
+        index.activate(*run)
+        index.discard(run[0])
+        index.discard(run[2])
+        assert_matches_oracle(index, [rival, run[1], run[3]])
+        assert index.current_matching() == [run[1]]
+        for chunk in run:
+            index.discard(chunk)
+        assert_matches_oracle(index, [rival])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_run_walk_through_pool(self, seed: int) -> None:
+        """Multi-chunk packets through the pool; removals sometimes land
+        before the pending evals are drained."""
+        rng = random.Random(300 + seed)
+        pool = PendingChunkPool(matching_index=True)
+        index = pool.matching_index
+        now = 1
+        live: list[Chunk] = []
+        for pid in range(150):
+            op = rng.random()
+            if op < 0.5 or not live:
+                run = make_run(
+                    pid,
+                    float(rng.choice((2.0, 4.0, 4.0, 6.0))),
+                    (f"t{rng.randrange(3)}", f"r{rng.randrange(3)}"),
+                    delay=rng.choice((1, 2, 4)),
+                    arrival=now,
+                    head_delay=rng.randrange(3),
+                )
+                pool.add_all(run)
+                live.extend(run)
+            elif op < 0.85:
+                pool.remove(live.pop(rng.randrange(len(live))))
+            else:
+                now += rng.randrange(1, 3)
+                pool.advance_eligibility(now)
+            if rng.random() < 0.5:
+                assert_matches_oracle(index, pool.eligible_chunks(now))
+        assert_matches_oracle(index, pool.eligible_chunks(now))
+
+
 class TestRandomWalks:
     """Add/remove/advance walks checked against the oracle on every step."""
 
