@@ -14,7 +14,7 @@ only meaningful for runs of the paper's algorithm.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.dispatcher import compute_edge_impact_auto
 from repro.core.interfaces import Dispatcher
@@ -116,8 +116,13 @@ class LeastLoadedDispatcher(Dispatcher):
     """Assign each packet to the candidate edge with the least queued weight.
 
     The load of edge ``(t, r)`` is the total weight of pending chunks at ``t``
-    plus at ``r`` (the join-the-shortest-queue heuristic).  The fixed link is
-    used only when no reconfigurable candidate exists.
+    plus at ``r`` (the join-the-shortest-queue heuristic); exact load ties go
+    to the shorter path delay, then to the smaller edge tuple.  The fixed
+    link is used only when no reconfigurable candidate exists.
+
+    One pass over the candidates reads each distinct port's load once (the
+    candidates of a rack pair share their lasers and photodetectors) and
+    looks up path delays only to break a load tie.
     """
 
     name = "least-loaded"
@@ -134,14 +139,27 @@ class LeastLoadedDispatcher(Dispatcher):
         _require_routable(packet, candidates, has_fixed)
         if not candidates:
             return _fixed_assignment(packet, topology)
-        best = min(
-            candidates,
-            key=lambda edge: (
-                pool.weight_at_transmitter(edge[0]) + pool.weight_at_receiver(edge[1]),
-                topology.path_delay(*edge),
-                edge,
-            ),
-        )
+        tx_load: Dict[str, float] = {}
+        rx_load: Dict[str, float] = {}
+        best: Optional[Tuple[str, str]] = None
+        best_load = best_delay = None
+        for edge in candidates:
+            t, r = edge
+            load_t = tx_load.get(t)
+            if load_t is None:
+                load_t = tx_load[t] = pool.weight_at_transmitter(t)
+            load_r = rx_load.get(r)
+            if load_r is None:
+                load_r = rx_load[r] = pool.weight_at_receiver(r)
+            load = load_t + load_r
+            if best is None or load < best_load:
+                best, best_load, best_delay = edge, load, None
+            elif load == best_load:
+                if best_delay is None:
+                    best_delay = topology.path_delay(*best)
+                delay = topology.path_delay(t, r)
+                if delay < best_delay or (delay == best_delay and edge < best):
+                    best, best_delay = edge, delay
         return _edge_assignment(packet, best[0], best[1], topology, pool)
 
 

@@ -7,7 +7,8 @@ eligible pending chunks.  They quantify the value of the stable-matching
 
 * FIFO greedy matching (arrival-ordered instead of weight-ordered);
 * maximum-weight matching recomputed every slot (the throughput-optimal
-  crossbar schedule, via networkx's blossom implementation);
+  crossbar schedule): an exact tree DP when the slot graph is a forest
+  with a unique optimum, networkx's blossom for cyclic or tied graphs;
 * iSLIP-style iterative round-robin matching (the de-facto standard in
   commercial input-queued switches);
 * random-order greedy matching.
@@ -15,6 +16,7 @@ eligible pending chunks.  They quantify the value of the stable-matching
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
@@ -24,7 +26,7 @@ from repro.core.packet import Chunk
 from repro.core.queues import PendingChunkPool
 from repro.core.scheduler import OrderedGreedyScheduler
 from repro.network.topology import TwoTierTopology
-from repro.utils.ordering import chunk_fifo_key, chunk_priority_key
+from repro.utils.ordering import chunk_fifo_key
 from repro.utils.rng import RngLike, as_rng
 
 __all__ = [
@@ -33,6 +35,10 @@ __all__ = [
     "MaxWeightMatchingScheduler",
     "ISLIPScheduler",
 ]
+
+_KEY = attrgetter("key")
+#: a node of a slot graph: ``("T", transmitter)`` or ``("R", receiver)``
+_Node = Tuple[str, str]
 
 
 def _iter_eligible(pool: PendingChunkPool, now: int):
@@ -64,7 +70,11 @@ class FIFOScheduler(OrderedGreedyScheduler):
 
 
 class RandomOrderScheduler(Scheduler):
-    """Greedy matching in a fresh uniformly random chunk order each slot."""
+    """Greedy matching in a fresh uniformly random chunk order each slot.
+
+    The order (and so the returned list) follows the seeded RNG over the
+    pool's priority-ordered eligible list.
+    """
 
     name = "random-order"
 
@@ -94,6 +104,101 @@ class RandomOrderScheduler(Scheduler):
         return selected
 
 
+#: relative margin (of the graph's total weight) below which two options of
+#: the forest DP count as tied; far above the rounding of either solver's
+#: float sums, so a shortcut answer is never a rounding artefact
+_TIE_MARGIN = 1e-9
+
+
+def _forest_matching(
+    edge_weight: Dict[Tuple[str, str], float]
+) -> Optional[List[Tuple[str, str]]]:
+    """The maximum-weight matching of a forest, or ``None`` if not unique here.
+
+    ``edge_weight`` maps ``(transmitter, receiver)`` edges of a bipartite
+    graph to positive weights.  If every component is a tree, a bottom-up
+    DP solves it exactly: a node's *gain* is the most it adds by being
+    matched to one of its children rather than left free, ``max(0,
+    max_c(w(v, c) - gain(c)))``.  Any node whose best and second-best
+    options tie (within ``_TIE_MARGIN`` of the total weight), or a graph
+    with a cycle, returns ``None`` so the caller can run the blossom
+    instead.  Otherwise the optimum is strictly unique, so it is the set
+    every exact solver (networkx included) returns.
+    """
+    adjacency: Dict[_Node, List[Tuple[_Node, float]]] = {}
+    total = 0.0
+    for (t, r), weight in edge_weight.items():
+        # Prefix node names to keep the two sides disjoint even if a
+        # transmitter and receiver share a name.
+        tx, rx = ("T", t), ("R", r)
+        adjacency.setdefault(tx, []).append((rx, weight))
+        adjacency.setdefault(rx, []).append((tx, weight))
+        total += weight
+
+    # Breadth-first order, parents before children, one tree at a time.
+    parent: Dict[_Node, Optional[_Node]] = {}
+    order: List[_Node] = []
+    trees = 0
+    for root in adjacency:
+        if root in parent:
+            continue
+        trees += 1
+        parent[root] = None
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            node = order[head]
+            head += 1
+            for other, _weight in adjacency[node]:
+                if other not in parent:
+                    parent[other] = node
+                    order.append(other)
+    if len(edge_weight) != len(order) - trees:
+        return None  # a cycle
+
+    margin = total * _TIE_MARGIN
+    gain: Dict[_Node, float] = {}
+    pick: Dict[_Node, _Node] = {}
+    for node in reversed(order):
+        up = parent[node]
+        best, second, choice = 0.0, None, None  # leaving the node free
+        for child, weight in adjacency[node]:
+            if child == up:
+                continue
+            option = weight - gain[child]
+            if option > best:
+                best, second, choice = option, best, child
+            elif second is None or option > second:
+                second = option
+        if second is not None and best - second <= margin:
+            return None  # tied options: leave the choice to the blossom
+        gain[node] = best
+        if choice is not None:
+            pick[node] = choice
+
+    matching: List[Tuple[str, str]] = []
+    taken = set()
+    for node in order:
+        if node in taken or node not in pick:
+            continue
+        child = pick[node]
+        taken.add(child)
+        if node[0] == "T":
+            matching.append((node[1], child[1]))
+        else:
+            matching.append((child[1], node[1]))
+    return matching
+
+
+def _blossom_matching(edge_weight: Dict[Tuple[str, str], float]) -> List[Tuple[str, str]]:
+    """The maximum-weight matching by networkx's blossom (any graph, any ties)."""
+    graph = nx.Graph()
+    for (t, r), weight in edge_weight.items():
+        graph.add_edge(("T", t), ("R", r), weight=weight)
+    matching = nx.algorithms.matching.max_weight_matching(graph, maxcardinality=False)
+    return [(a[1], b[1]) if a[0] == "T" else (b[1], a[1]) for a, b in matching]
+
+
 class MaxWeightMatchingScheduler(Scheduler):
     """Maximum-weight matching over the pending-chunk bipartite graph.
 
@@ -101,9 +206,13 @@ class MaxWeightMatchingScheduler(Scheduler):
     reconfigurable edge that has at least one eligible chunk; the edge weight
     is either the heaviest eligible chunk (``mode="max"``, the classic
     MaxWeight policy on per-edge virtual output queues) or the total eligible
-    weight (``mode="sum"``).  The maximum-weight matching is computed with
-    :func:`networkx.algorithms.matching.max_weight_matching` and the
-    highest-priority chunk of each matched edge is transmitted.
+    weight (``mode="sum"``).  The maximum-weight matching comes from an exact
+    forest DP (:func:`_forest_matching`) when the graph is a forest with a
+    unique optimum, and otherwise, for cyclic or tied graphs, from
+    :func:`networkx.algorithms.matching.max_weight_matching`; both give the
+    same set wherever the DP answers.  The highest-priority chunk of each
+    matched edge is transmitted, and the matching is returned in priority
+    (``Chunk.key``) order, independent of ``PYTHONHASHSEED``.
     """
 
     name = "max-weight-matching"
@@ -119,36 +228,20 @@ class MaxWeightMatchingScheduler(Scheduler):
     ) -> List[Chunk]:
         best_chunk: Dict[Tuple[str, str], Chunk] = {}
         edge_weight: Dict[Tuple[str, str], float] = {}
+        add_up = self.mode == "sum"
         for chunk in _iter_eligible(pool, now):
             edge = chunk.edge
-            if edge not in best_chunk or chunk_priority_key(chunk) < chunk_priority_key(
-                best_chunk[edge]
-            ):
+            best = best_chunk.get(edge)
+            if best is None or chunk.key < best.key:
                 best_chunk[edge] = chunk
-            edge_weight[edge] = (
-                edge_weight.get(edge, 0.0) + chunk.weight
-                if self.mode == "sum"
-                else max(edge_weight.get(edge, 0.0), chunk.weight)
-            )
+            weight = edge_weight.get(edge, 0.0)
+            edge_weight[edge] = weight + chunk.weight if add_up else max(weight, chunk.weight)
         if not edge_weight:
             return []
-
-        graph = nx.Graph()
-        for (t, r), weight in edge_weight.items():
-            # Prefix node names to keep the two sides disjoint even if a
-            # transmitter and receiver share a name.
-            graph.add_edge(("T", t), ("R", r), weight=weight)
-        matching = nx.algorithms.matching.max_weight_matching(graph, maxcardinality=False)
-
-        selected: List[Chunk] = []
-        for (a, b) in matching:
-            (side_a, name_a), (side_b, name_b) = a, b
-            if side_a == "T":
-                t, r = name_a, name_b
-            else:
-                t, r = name_b, name_a
-            selected.append(best_chunk[(t, r)])
-        return selected
+        matching = _forest_matching(edge_weight)
+        if matching is None:
+            matching = _blossom_matching(edge_weight)
+        return sorted((best_chunk[edge] for edge in matching), key=_KEY)
 
 
 class ISLIPScheduler(Scheduler):
@@ -161,7 +254,9 @@ class ISLIPScheduler(Scheduler):
     accepts the first granting receiver at or after its accept pointer.
     Pointers advance past an accepted partner only for grants accepted in the
     first iteration (the standard desynchronisation rule).  The oldest
-    eligible chunk on each matched edge is transmitted.
+    eligible chunk on each matched edge is transmitted, listed in the dict
+    insertion order of the matched transmitters (sorted names, then the
+    pool's eligible order), so no ``set`` order leaks into the output.
     """
 
     name = "islip"

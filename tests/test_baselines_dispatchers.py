@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     DirectFirstDispatcher,
@@ -11,7 +13,7 @@ from repro.baselines import (
     ShortestPathDispatcher,
 )
 from repro.core import Packet
-from repro.core.packet import EdgeAssignment, FixedLinkAssignment
+from repro.core.packet import EdgeAssignment, FixedLinkAssignment, split_into_chunks
 from repro.core.queues import PendingChunkPool
 from repro.exceptions import RoutingError
 from repro.network import TwoTierTopology, figure1_topology, projector_fabric
@@ -107,6 +109,103 @@ class TestLeastLoadedDispatcher:
             Packet(0, "s", "d", 1.0, 1), topo, PendingChunkPool(), 1
         )
         assert isinstance(assignment, FixedLinkAssignment)
+
+
+def least_loaded_oracle(packet, topology, pool):
+    """The original rule: ``min`` over (load, path delay, edge), loads read per key."""
+    return min(
+        topology.candidate_edges(packet.source, packet.destination),
+        key=lambda edge: (
+            pool.weight_at_transmitter(edge[0]) + pool.weight_at_receiver(edge[1]),
+            topology.path_delay(*edge),
+            edge,
+        ),
+    )
+
+
+def multi_port_rack_pair(lasers, detectors, delays, head=None, tail=None):
+    """Rack pair ``s -> d`` with several lasers and photodetectors, plus one
+    outside laser ``u`` and photodetector ``v`` that load the pair's ports."""
+    topo = TwoTierTopology()
+    for node in ("s", "s2"):
+        topo.add_source(node)
+    for node in ("d", "d2"):
+        topo.add_destination(node)
+    for i in range(lasers):
+        topo.add_transmitter(f"t{i}", "s", head_delay=head[i] if head else 0)
+    for j in range(detectors):
+        topo.add_receiver(f"r{j}", "d", tail_delay=tail[j] if tail else 0)
+    topo.add_transmitter("u", "s2")
+    topo.add_receiver("v", "d2")
+    for i in range(lasers):
+        for j in range(detectors):
+            topo.add_reconfigurable_edge(f"t{i}", f"r{j}", delay=delays[i * detectors + j])
+        topo.add_reconfigurable_edge(f"t{i}", "v", delay=1)
+    for j in range(detectors):
+        topo.add_reconfigurable_edge("u", f"r{j}", delay=1)
+    return topo.freeze()
+
+
+def load_pool(topology, loads):
+    """A pool holding one packet of weight ``w`` per ``(edge, w)`` in ``loads``."""
+    pool = PendingChunkPool()
+    for pid, (edge, weight) in enumerate(loads):
+        packet = Packet(pid, topology.source_of(edge[0]), topology.destination_of(edge[1]), weight, 1)
+        pool.add_all(
+            split_into_chunks(packet, edge[0], edge[1], edge_delay=topology.edge_delay(*edge))
+        )
+    return pool
+
+
+class TestLeastLoadedParity:
+    def test_load_tie_broken_by_path_delay(self):
+        topo = multi_port_rack_pair(2, 2, delays=[3, 2, 4, 4])
+        # t0 and t1 carry equal load; r0 and r1 carry none.
+        pool = load_pool(topo, [(("t0", "v"), 2.0), (("t1", "v"), 2.0)])
+        packet = Packet(99, "s", "d", 1.0, 1)
+        chosen = LeastLoadedDispatcher().dispatch(packet, topo, pool, 1).edge
+        assert chosen == least_loaded_oracle(packet, topo, pool) == ("t0", "r1")
+
+    def test_load_and_delay_tie_broken_by_edge_name(self):
+        topo = TwoTierTopology()
+        topo.add_source("s")
+        topo.add_destination("d")
+        topo.add_transmitter("tb", "s")
+        topo.add_transmitter("ta", "s")
+        topo.add_receiver("r", "d")
+        topo.add_reconfigurable_edge("tb", "r", delay=2)
+        topo.add_reconfigurable_edge("ta", "r", delay=2)
+        topo.freeze()
+        assert topo.candidate_edges("s", "d")[0] == ("tb", "r")
+        packet = Packet(0, "s", "d", 1.0, 1)
+        pool = PendingChunkPool()
+        chosen = LeastLoadedDispatcher().dispatch(packet, topo, pool, 1).edge
+        assert chosen == least_loaded_oracle(packet, topo, pool) == ("ta", "r")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_edge_as_the_min_key(self, data):
+        lasers = data.draw(st.integers(1, 3))
+        detectors = data.draw(st.integers(1, 3))
+        delays = data.draw(st.lists(st.integers(1, 3), min_size=lasers * detectors,
+                                    max_size=lasers * detectors))
+        head = data.draw(st.lists(st.integers(0, 1), min_size=lasers, max_size=lasers))
+        tail = data.draw(st.lists(st.integers(0, 1), min_size=detectors, max_size=detectors))
+        topo = multi_port_rack_pair(lasers, detectors, delays, head, tail)
+        edges = sorted(topo.reconfigurable_edges)
+        loads = data.draw(st.lists(
+            st.tuples(st.sampled_from(edges),
+                      st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 10.0)),
+            max_size=12,
+        ))
+        pool = load_pool(topo, loads)
+        dispatcher = LeastLoadedDispatcher()
+        for pid in range(3):
+            packet = Packet(100 + pid, "s", "d", 1.0, 1)
+            expected = least_loaded_oracle(packet, topo, pool)
+            assignment = dispatcher.dispatch(packet, topo, pool, 1)
+            assert assignment.edge == expected
+            pool.add_all(assignment.chunks)
 
 
 class TestShortestPathDispatcher:
