@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.dispatcher import compute_edge_impact_auto
+from repro.core.dispatcher import EdgeImpact, compute_edge_impact_auto
 from repro.core.interfaces import Dispatcher
 from repro.core.packet import (
     Assignment,
@@ -47,6 +47,14 @@ def _edge_assignment(
 ) -> EdgeAssignment:
     """Build an :class:`EdgeAssignment` (with chunks and recorded impact) for an edge."""
     impact = compute_edge_impact_auto(packet, transmitter, receiver, topology, pool)
+    return _impact_assignment(packet, impact, topology)
+
+
+def _impact_assignment(
+    packet: Packet, impact: EdgeImpact, topology: TwoTierTopology
+) -> EdgeAssignment:
+    """Build the :class:`EdgeAssignment` for the edge ``impact`` was computed on."""
+    transmitter, receiver = impact.transmitter, impact.receiver
     chunks = split_into_chunks(
         packet,
         transmitter,
@@ -216,12 +224,10 @@ class DirectFirstDispatcher(Dispatcher):
         _require_routable(packet, candidates, has_fixed)
         if has_fixed:
             return _fixed_assignment(packet, topology)
-        best = None
         best_impact = None
         for (t, r) in candidates:
             impact = compute_edge_impact_auto(packet, t, r, topology, pool)
             if best_impact is None or (impact.total, impact.edge) < (best_impact.total, best_impact.edge):
                 best_impact = impact
-                best = (t, r)
-        assert best is not None and best_impact is not None
-        return _edge_assignment(packet, best[0], best[1], topology, pool)
+        assert best_impact is not None
+        return _impact_assignment(packet, best_impact, topology)

@@ -12,7 +12,7 @@ makes it repairable from exactly those deltas:
 
 (The greedy matching is the lexicographically-first maximal matching in the
 chunk conflict graph; each matched chunk owns both its ports.)  The
-characterisation yields two repair rules:
+characterisation yields three repair rules:
 
 * **removal** of a matched chunk ``c`` frees its two ports; the only chunks
   whose status can flip are *lower*-priority chunks on those two ports (a
@@ -23,8 +23,24 @@ characterisation yields two repair rules:
   that owner's other port.  Every chunk in the cascade has strictly lower
   priority than its evictor, so the cascade is driven by the delta, not by
   the pool size.
+* **handover** is the common case of removal, applied at once.  At speed 1 a
+  matched chunk finishes its edge in one slot, and the next chunk on both of
+  its ports is usually the next chunk of the same edge — often of the same
+  packet.  So if no repair task is pending and, after the matched chunk
+  ``c`` is deleted, the entry at ``c``'s old position is the same chunk ``u``
+  in the transmitter list and in the receiver list, ``u`` takes both ports
+  and no task is pushed.  *Proof.*  With no task pending, the matching is
+  the greedy matching of the eligible set that still includes ``c``.  Take
+  the two scans the removal rule would push, both from ``c``'s key.  Each
+  finds ``u`` first, because ``u`` follows ``c`` directly on that port, and
+  ``u``'s other port is free, because ``c`` owned it.  So the first scan to
+  reach ``u`` without deferring to the other matches it, and the other then
+  finds its port owned.  In greedy terms: every chunk between ``c`` and
+  ``u`` in priority order avoids both ports and is decided as before, and
+  ``u`` then finds both ports free and leaves every later chunk exactly the
+  port state ``c`` left it.
 
-:class:`MatchingIndex` implements both rules with a single priority-keyed
+:class:`MatchingIndex` implements the rules with a single priority-keyed
 task heap.  Events (activations, removals) push *tasks*; draining the heap
 processes tasks in non-decreasing priority order, which makes every decision
 final — exactly the order the from-scratch greedy pass would have used — so
@@ -79,10 +95,12 @@ without looking at their owners again.  Skipping is safe: if that owner is
 later evicted, the eviction itself pushes a scan for the freed peer port,
 which re-covers the skipped chunks.
 
-The walk stops at the first chunk it can match.  On the perfbench workloads
-a scan reads 1.3–3.7 entries on average, the matched one included, so it
-costs one bisect plus a short walk instead of one bisect per active edge of
-the port.
+The walk stops at the first chunk it can match, so a scan costs one bisect
+plus a short walk instead of one bisect per active edge of the port.  The
+handover settles the shortest walks without a scan: on the perfbench
+workloads it takes 65–89% of the matched removals on the ALG-only cells,
+and a scan task that reads any entry reads 1.4–4.7 on average, the matched
+one included.
 
 Amortised cost per slot is O((Δ + cascade) · (log n + walk)) against the
 reference scheduler's Θ(E log E) full pass over all eligible chunks, where
@@ -128,24 +146,16 @@ def _insert(lists: Dict[str, List[_Entry]], port: str, entries: List[_Entry]) ->
         existing[pos:pos] = entries
 
 
-def _delete(lists: Dict[str, List[_Entry]], port: str, key: _Key) -> None:
-    entries = lists[port]
-    # (key,) sorts immediately before (key, chunk); keys are unique.
-    del entries[bisect_left(entries, (key,))]
-    if not entries:
-        del lists[port]
-
-
 class MatchingIndex:
     """Maintains the greedy stable matching of an *eligible* chunk set under deltas.
 
     The owning :class:`~repro.core.queues.PendingChunkPool` notifies the index
     through :meth:`activate` (a chunk became eligible — freshly added or
     promoted from a future-activation bucket) and :meth:`discard` (an eligible
-    chunk left the pool).  Repair work is deferred: events only push tasks,
-    and :meth:`current_matching` drains the task heap before reporting, so a
-    burst of completions and arrivals between two slots is settled in one
-    priority-ordered pass.
+    chunk left the pool).  Repair work is deferred: events only push tasks
+    (a handover needs none and settles at once), and :meth:`current_matching`
+    drains the task heap before reporting, so a burst of completions and
+    arrivals between two slots is settled in one priority-ordered pass.
     """
 
     __slots__ = (
@@ -159,6 +169,7 @@ class MatchingIndex:
         "_seq",
         "_tasks_done",
         "_evictions",
+        "_handovers",
     )
 
     def __init__(self) -> None:
@@ -178,6 +189,7 @@ class MatchingIndex:
         # Lifetime repair-work tallies (always on; one int add per event).
         self._tasks_done = 0
         self._evictions = 0
+        self._handovers = 0
 
     # ------------------------------------------------------------------ #
     # events (pushed by the pool)
@@ -212,16 +224,35 @@ class MatchingIndex:
         self._eligible.remove(chunk)
         key = chunk.key
         tx, rx = chunk.transmitter, chunk.receiver
-        _delete(self._tx_chunks, tx, key)
-        _delete(self._rx_chunks, rx, key)
-        if chunk in self._matched:
-            # Removal rule: only lower-priority chunks on the two freed ports
-            # can flip status — scan each port from the removed chunk's key.
-            self._matched.remove(chunk)
-            del self._tx_owner[tx]
-            del self._rx_owner[rx]
-            self._push(key, _SCAN_TX, (tx, None))
-            self._push(key, _SCAN_RX, (rx, None))
+        # (key,) sorts immediately before (key, chunk); keys are unique.  The
+        # positions are kept: after the deletion they hold the successors.
+        tx_entries = self._tx_chunks[tx]
+        tx_pos = bisect_left(tx_entries, (key,))
+        del tx_entries[tx_pos]
+        if not tx_entries:
+            del self._tx_chunks[tx]
+        rx_entries = self._rx_chunks[rx]
+        rx_pos = bisect_left(rx_entries, (key,))
+        del rx_entries[rx_pos]
+        if not rx_entries:
+            del self._rx_chunks[rx]
+        if chunk not in self._matched:
+            return
+        self._matched.remove(chunk)
+        if not self._tasks and tx_pos < len(tx_entries) and rx_pos < len(rx_entries):
+            successor = tx_entries[tx_pos][1]
+            if successor is rx_entries[rx_pos][1]:
+                # Handover rule: the next chunk on both ports takes them both.
+                self._tx_owner[tx] = self._rx_owner[rx] = successor
+                self._matched.add(successor)
+                self._handovers += 1
+                return
+        # Removal rule: only lower-priority chunks on the two freed ports can
+        # flip status — scan each port from the removed chunk's key.
+        del self._tx_owner[tx]
+        del self._rx_owner[rx]
+        self._push(key, _SCAN_TX, (tx, None))
+        self._push(key, _SCAN_RX, (rx, None))
 
     def clear(self) -> None:
         """Forget every chunk and pending task."""
@@ -234,6 +265,7 @@ class MatchingIndex:
         self._tasks.clear()
         self._tasks_done = 0
         self._evictions = 0
+        self._handovers = 0
 
     def stats(self) -> Dict[str, int]:
         """Lifetime repair-work counters.
@@ -241,9 +273,14 @@ class MatchingIndex:
         ``tasks`` is the number of heap tasks drained (evals, scans and scan
         deferrals) and ``evictions`` the number of matched chunks displaced
         by higher-priority arrivals — together the size of the repair
-        cascades that replaced full recomputes.
+        cascades that replaced full recomputes.  ``handovers`` counts matched
+        removals settled by the handover rule, which push no task.
         """
-        return {"tasks": self._tasks_done, "evictions": self._evictions}
+        return {
+            "tasks": self._tasks_done,
+            "evictions": self._evictions,
+            "handovers": self._handovers,
+        }
 
     # ------------------------------------------------------------------ #
     # queries

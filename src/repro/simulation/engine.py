@@ -1026,6 +1026,9 @@ class _PolicyLane:
             metrics.counter("matching_index_evictions", policy=name).inc(
                 index_stats["evictions"]
             )
+            metrics.counter("matching_index_handovers", policy=name).inc(
+                index_stats["handovers"]
+            )
         faults = self._faults
         if faults is not None:
             metrics.counter("engine_fault_events", policy=name).inc(faults.events_applied)

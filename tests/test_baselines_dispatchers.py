@@ -255,3 +255,52 @@ class TestDirectFirstDispatcher:
             Packet(0, "rack0:src", "rack1:dst", 1.0, 1), topo, PendingChunkPool(), 1
         )
         assert isinstance(assignment, EdgeAssignment)
+
+
+class TestDirectFirstImpactReuse:
+    """The chosen edge's assignment reuses the impact the candidate loop computed."""
+
+    @staticmethod
+    def _chunk_fields(chunks):
+        return [
+            (c.key, c.size, c.weight, c.transmitter, c.receiver, c.eligible_time, c.tail_delay)
+            for c in chunks
+        ]
+
+    @pytest.mark.parametrize("impact_index", [False, True])
+    def test_one_impact_per_candidate_and_identical_assignment(self, monkeypatch, impact_index):
+        from repro.baselines import dispatchers as module
+
+        topo = projector_fabric(num_racks=3, seed=0)
+        pool = PendingChunkPool(impact_index=impact_index)
+        dispatcher = DirectFirstDispatcher()
+        # Load the candidate edges so the impacts differ between them.
+        for pid in range(12):
+            loaded = dispatcher.dispatch(
+                Packet(pid, "rack0:src", "rack1:dst", float(1 + pid % 4), 1), topo, pool, 1
+            )
+            pool.add_all(loaded.chunks)
+
+        calls = []
+        real = module.compute_edge_impact_auto
+
+        def spy(packet, transmitter, receiver, topology, pool_):
+            calls.append((transmitter, receiver))
+            return real(packet, transmitter, receiver, topology, pool_)
+
+        monkeypatch.setattr(module, "compute_edge_impact_auto", spy)
+        packet = Packet(99, "rack0:src", "rack1:dst", 2.5, 2)
+        assignment = dispatcher.dispatch(packet, topo, pool, 2)
+        candidates = topo.candidate_edges("rack0:src", "rack1:dst")
+        assert sorted(calls) == sorted(candidates)
+
+        # The assignment the old code built by recomputing the impact.
+        monkeypatch.setattr(module, "compute_edge_impact_auto", real)
+        impacts = [real(packet, t, r, topo, pool) for t, r in candidates]
+        best = min(impacts, key=lambda impact: (impact.total, impact.edge))
+        expected = module._edge_assignment(packet, *best.edge, topo, pool)
+        assert isinstance(assignment, EdgeAssignment)
+        assert (assignment.transmitter, assignment.receiver) == best.edge
+        assert assignment.edge_delay == expected.edge_delay
+        assert assignment.impact == expected.impact
+        assert self._chunk_fields(assignment.chunks) == self._chunk_fields(expected.chunks)

@@ -449,3 +449,95 @@ class TestPoolIntegration:
         assert set(scheduler.select_matching(pool, topology, 6)) == {early, late}
         # A query behind the watermark must not report the later activation.
         assert scheduler.select_matching(pool, topology, 1) == [early]
+
+
+class TestHandover:
+    """A removed matched chunk hands both ports to the next chunk on both."""
+
+    def test_run_successor_takes_over_without_a_task(self):
+        index = MatchingIndex()
+        run = make_run(0, 5.0, ("t1", "r1"), delay=3)
+        other = make_chunk(1, 1.0, ("t2", "r2"))
+        index.activate(*run)
+        index.activate(other)
+        assert index.current_matching() == [run[0], other]
+        stats = index.stats()
+        index.discard(run[0])
+        assert_matches_oracle(index, [*run[1:], other])
+        assert index.current_matching() == [run[1], other]
+        after = index.stats()
+        assert after["tasks"] == stats["tasks"]
+        assert after["handovers"] == stats["handovers"] + 1
+
+    def test_different_next_entries_fall_back(self):
+        # After ``c`` leaves, r1's next entry is ``v`` (t2, r1), not the
+        # same-edge ``u``: ``v`` outranks ``u`` and must take r1.
+        index = MatchingIndex()
+        c = make_chunk(0, 9.0, ("t1", "r1"))
+        v = make_chunk(1, 7.0, ("t2", "r1"))
+        u = make_chunk(2, 5.0, ("t1", "r1"))
+        eligible = [c, v, u]
+        for chunk in eligible:
+            index.activate(chunk)
+        assert index.current_matching() == [c]
+        stats = index.stats()
+        index.discard(c)
+        eligible.remove(c)
+        assert_matches_oracle(index, eligible)
+        assert index.current_matching() == [v]
+        after = index.stats()
+        assert after["handovers"] == stats["handovers"]
+        assert after["tasks"] > stats["tasks"]
+
+    def test_pending_heavier_eval_falls_back(self):
+        # An undrained eval of a heavier chunk on the same transmitter: the
+        # removal pushes its scans, and the heavier chunk wins t1.
+        index = MatchingIndex()
+        run = make_run(0, 5.0, ("t1", "r1"), delay=2)
+        index.activate(*run)
+        assert index.current_matching() == [run[0]]
+        heavy = make_chunk(1, 9.0, ("t1", "r2"))
+        index.activate(heavy)
+        stats = index.stats()
+        index.discard(run[0])
+        assert index.stats()["handovers"] == stats["handovers"]
+        assert_matches_oracle(index, [run[1], heavy])
+        assert index.current_matching() == [heavy]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_walk_with_runs_and_sparse_drains(self, seed: int) -> None:
+        """Multi-chunk runs on a few shared ports; drains only at some steps.
+
+        Between drains, matched chunks complete (as in a slot) and new runs
+        arrive, so removals land both with an empty task heap (handover or
+        fallback scan) and behind pending evals.
+        """
+        rng = random.Random(700 + seed)
+        index = MatchingIndex()
+        tracked: list[Chunk] = []
+        handovers = fallbacks = 0
+        for pid in range(120):
+            if rng.random() < 0.4:
+                assert_matches_oracle(index, tracked)
+                for chunk in index.current_matching():
+                    if rng.random() < 0.8:
+                        before = index.stats()["handovers"]
+                        index.discard(chunk)
+                        tracked.remove(chunk)
+                        if index.stats()["handovers"] > before:
+                            handovers += 1
+                        else:
+                            fallbacks += 1
+            if rng.random() < 0.15 and tracked:
+                index.discard(tracked.pop(rng.randrange(len(tracked))))
+            run = make_run(
+                pid,
+                float(rng.choice((1.0, 2.0, 2.0, 3.0))),
+                (f"t{rng.randrange(3)}", f"r{rng.randrange(3)}"),
+                delay=rng.randrange(2, 5),
+                arrival=rng.randrange(1, 4),
+            )
+            index.activate(*run)
+            tracked.extend(run)
+        assert_matches_oracle(index, tracked)
+        assert handovers > 0 and fallbacks > 0

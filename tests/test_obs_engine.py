@@ -103,6 +103,8 @@ class TestEngineCounters:
         assert _one(counters, "impact_index_consolidations") > 0
         assert _one(counters, "matching_index_tasks") > 0
         assert _one(counters, "matching_index_evictions") >= 0
+        # Completed chunks hand their ports straight to a same-edge successor.
+        assert _one(counters, "matching_index_handovers") > 0
 
 
 class TestSpans:
