@@ -9,16 +9,19 @@ worst case for a per-slot full pass and the best case for delta repair.
 
 Both configurations run under ``engine="indexed"`` and differ *only* in the
 scheduler (``OpportunisticLinkScheduler(incremental_scheduler=...)``), so the
-end-to-end ratio isolates the scheduler change; a phase breakdown from
-:func:`repro.simulation.timed_policy` additionally pins the speedup of the
-``select_matching`` phase itself.  Summaries must be bit-identical — the
-repairer replays exactly the matchings the from-scratch pass would produce.
+end-to-end ratio isolates the scheduler change.  The engine's own phase
+spans additionally pin the speedup of the ``select_matching`` phase itself:
+both runs record into a :class:`~repro.obs.MetricsRegistry` with
+``span_stride=1``, and the scheduler time is the
+``engine_phase_seconds{phase=scheduler}`` gauge.  Both runs carry the same
+instrumentation, so it cancels out of both ratios.  Summaries must be
+bit-identical — the repairer replays exactly the matchings the
+from-scratch pass would produce.
 
 Measured at the default size on a shared 2-CPU x86-64 host (CPython 3.11),
-with per-port matching scans and cached priority keys: 4.5–5.4× end to end
-(flat 8.3–9.2 s, incremental 1.55–2.05 s) and 20–28× on the scheduler
-phase, over two runs.  The earlier per-edge scan layout measured
-2.6× / 4.2× on the same host.  The asserted thresholds below stay at
+with the same-successor handover in the matching index and span timing:
+6.5× end to end (flat 8.6 s, incremental 1.33 s) and 37× on the scheduler
+phase; at the CI smoke size (16 racks × 2500 packets) 3.8× and 16×.  The asserted thresholds below stay at
 2× / 2.5×.
 
 Environment knobs (the CI smoke step shrinks the cell and relaxes the
@@ -37,7 +40,8 @@ import time
 
 from repro.core import OpportunisticLinkScheduler
 from repro.network import projector_fabric
-from repro.simulation import simulate, timed_policy
+from repro.obs import MetricsRegistry
+from repro.simulation import simulate
 from repro.workloads import uniform_weights
 from repro.workloads.adversarial import iter_contention_hotspot_workload
 
@@ -85,30 +89,42 @@ def test_e16_incremental_vs_flat_scheduler(run_once, report) -> None:
     def compare():
         out = {}
         for label, incremental in (("flat", False), ("incremental", True)):
-            policy, timings = timed_policy(
-                OpportunisticLinkScheduler(incremental_scheduler=incremental)
-            )
+            policy = OpportunisticLinkScheduler(incremental_scheduler=incremental)
+            registry = MetricsRegistry()
             start = time.perf_counter()
             result = simulate(
-                topology, policy, packets, engine="indexed", max_slots=10_000_000
+                topology,
+                policy,
+                packets,
+                engine="indexed",
+                max_slots=10_000_000,
+                obs=registry,
+                span_stride=1,
             )
             total = time.perf_counter() - start
-            out[label] = (total, timings, result.summary())
+            phases = {
+                phase: registry.gauge(
+                    "engine_phase_seconds", phase=phase, policy=policy.name
+                ).value
+                for phase in ("dispatch", "scheduler", "transmit")
+            }
+            out[label] = (total, phases, result.summary())
         return out
 
     out = run_once(compare)
     flat_total, flat_phases, flat_summary = out["flat"]
     incr_total, incr_phases, incr_summary = out["incremental"]
     e2e_speedup = flat_total / incr_total
-    phase_speedup = flat_phases.scheduler_s / incr_phases.scheduler_s
+    phase_speedup = flat_phases["scheduler"] / incr_phases["scheduler"]
+    breakdown = {phase: round(seconds, 4) for phase, seconds in incr_phases.items()}
     report(
         "E16 scheduler scale: incremental repair vs from-scratch pass",
         f"cell: {E16_RACKS} racks, {len(packets)} packets, edge delay {E16_DELAY}\n"
         f"end-to-end      : flat {flat_total:.2f}s   incremental {incr_total:.2f}s   "
         f"speedup {e2e_speedup:.1f}x\n"
-        f"scheduler phase : flat {flat_phases.scheduler_s:.2f}s   "
-        f"incremental {incr_phases.scheduler_s:.2f}s   speedup {phase_speedup:.1f}x\n"
-        f"phase breakdown (incremental): {incr_phases.breakdown(incr_total)}",
+        f"scheduler phase : flat {flat_phases['scheduler']:.2f}s   "
+        f"incremental {incr_phases['scheduler']:.2f}s   speedup {phase_speedup:.1f}x\n"
+        f"phase seconds (incremental): {breakdown}",
     )
     # Bit-identity comes first: a fast scheduler that schedules differently
     # is a bug, not a win.

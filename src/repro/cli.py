@@ -53,16 +53,13 @@ without writing Python:
     checkpoint; ``search resume`` continues one (optionally with
     ``--generations`` extended).
 
-``python -m repro.cli bench run --section dispatch``
-    Measure one named hot-path benchmark section (``dispatch``,
-    ``scheduler``, ``transmit``, ``run_multi``, ``streaming`` — or all of
-    them by default) on a seeded cell, verify bit-identity against the
-    reference configuration, and append a machine-stamped history point to
-    the section's ``BENCH_<section>.json`` trajectory.  ``bench report``
-    renders the recorded trend; ``bench check --tolerance 0.3`` re-measures
-    and fails (exit 1) when throughput drops more than the tolerance below
-    the best prior point from comparable hardware at the same scale — the
-    CI perf-regression gate.
+``python -m repro.cli bench run --workload dense-d4 --seed 16 --seconds 25``
+    Run the repository's benchmark, ``perfbench/run.py``, on one of its
+    workloads, untraced and traced, and append the two result lines as one
+    machine-stamped point to ``BENCH_<workload>.json``.  Nothing is appended
+    (exit 1) unless both runs report ``"correct": true`` and no failures.
+    ``bench report`` renders every recorded trajectory: packets/s per point
+    and each layer's share of the traced wall time.
 
 Every generating subcommand accepts ``--seed`` and prints deterministic
 output for a fixed seed (``scenarios`` takes its seeds from the registry's
@@ -74,9 +71,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.analysis import compute_charges, evaluate_competitive_ratio
 from repro.baselines import ablation_policies, all_policies, brute_force_optimal, standard_baselines
@@ -124,11 +122,34 @@ _SWEEPS = ("competitive", "speedup", "delays", "hybrid", "tiers")
 #: Mirrors repro.search.BUDGETS (kept literal so building the parser does not
 #: import the search subsystem; a regression test pins the two in sync).
 _SEARCH_BUDGETS = ("smoke", "default", "full")
-#: Mirrors repro.bench.SECTIONS (same literal-for-lazy-import reasoning; a
-#: regression test pins the two in sync).
-_BENCH_SECTIONS = ("dispatch", "scheduler", "transmit", "run_multi", "streaming")
-#: Default directory of the BENCH_<section>.json history files: the repo root.
+#: Default directory of the BENCH_<workload>.json history files: the repo root.
 _BENCH_DIR = Path(__file__).resolve().parents[2]
+
+
+def _positive(number: Callable[[str], Any], minimum: Any = 0) -> Callable[[str], Any]:
+    """An argparse type: a finite ``number`` above zero and at least ``minimum``.
+
+    Bad sizes are refused while parsing (``error: …``, exit 2) instead of
+    failing with a traceback deep inside a run.
+    """
+
+    def parse(text: str) -> Any:
+        try:
+            value = number(text)
+        except ValueError:
+            value = math.nan
+        if not (0 < value < math.inf and value >= minimum):
+            kind = "an integer" if number is int else "a number"
+            bound = f">= {minimum}" if minimum else "> 0"
+            raise argparse.ArgumentTypeError(f"expected {kind} {bound}, got {text!r}")
+        return value
+
+    return parse
+
+
+_RACKS = _positive(int, minimum=2)  # projector fabrics need two racks
+_COUNT = _positive(int)
+_POSITIVE_FLOAT = _positive(float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     figures.set_defaults(func=cmd_figures)
 
     compare = sub.add_parser("compare", help="compare ALG against the baseline policies")
-    compare.add_argument("--racks", type=int, default=6, help="number of racks")
-    compare.add_argument("--packets", type=int, default=150, help="number of packets")
+    compare.add_argument("--racks", type=_RACKS, default=6, help="number of racks")
+    compare.add_argument("--packets", type=_COUNT, default=150, help="number of packets")
     compare.add_argument("--workload", choices=_WORKLOADS, default="zipf")
     compare.add_argument("--seed", type=int, default=2021)
     compare.add_argument("--ablations", action="store_true", help="include ablation policies")
@@ -155,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         "competitive", help="measure the empirical competitive ratio (Theorem 1)"
     )
     competitive.add_argument("--epsilon", type=float, default=1.0)
-    competitive.add_argument("--packets", type=int, default=10)
-    competitive.add_argument("--instances", type=int, default=2)
+    competitive.add_argument("--packets", type=_COUNT, default=10)
+    competitive.add_argument("--instances", type=_COUNT, default=2)
     competitive.add_argument("--seed", type=int, default=19)
     competitive.add_argument(
         "--no-lp", action="store_true", help="use only the dual lower bound (faster)"
@@ -164,11 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     competitive.set_defaults(func=cmd_competitive)
 
     sim = sub.add_parser("simulate", help="run one policy on one workload")
-    sim.add_argument("--racks", type=int, default=4)
-    sim.add_argument("--packets", type=int, default=60)
+    sim.add_argument("--racks", type=_RACKS, default=4)
+    sim.add_argument("--packets", type=_COUNT, default=60)
     sim.add_argument("--workload", choices=_WORKLOADS, default="zipf")
     sim.add_argument("--policy", default="alg", help="policy name (see repro.baselines.all_policies)")
-    sim.add_argument("--speed", type=float, default=1.0)
+    sim.add_argument("--speed", type=_POSITIVE_FLOAT, default=1.0)
     sim.add_argument("--seed", type=int, default=7)
     sim.add_argument("--trace", action="store_true", help="print the slot-by-slot trace")
     sim.add_argument(
@@ -199,12 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="worker processes for the grid (1 = serial; rows are identical either way)",
     )
-    sweep.add_argument("--racks", type=int, default=4, help="fabric size for the E9/E10 sweeps")
     sweep.add_argument(
-        "--packets", type=int, default=60, help="packets per instance (E8/E9/E10 sweeps)"
+        "--racks", type=_RACKS, default=4, help="fabric size for the E9/E10 sweeps"
     )
     sweep.add_argument(
-        "--lp-packets", type=int, default=8,
+        "--packets", type=_COUNT, default=60, help="packets per instance (E8/E9/E10 sweeps)"
+    )
+    sweep.add_argument(
+        "--lp-packets", type=_COUNT, default=8,
         help="packets per LP-sized instance (E5/E6 sweeps; the exact LP limits size)",
     )
     sweep.add_argument("--seed", type=int, default=2021)
@@ -373,48 +396,33 @@ def build_parser() -> argparse.ArgumentParser:
     search_report.set_defaults(func=cmd_search_report)
 
     bench = sub.add_parser(
-        "bench", help="record, report and gate the performance trajectory"
+        "bench", help="record and report the perfbench trajectory"
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    def _bench_scale_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--section", choices=_BENCH_SECTIONS, default=None,
-            help="one section (default: every section)",
-        )
-        p.add_argument(
-            "--packets", type=int, default=None,
-            help="override the section's default packet count",
-        )
-        p.add_argument("--racks", type=int, default=16)
-        p.add_argument("--seed", type=int, default=15)
-        p.add_argument(
-            "--dir", default=str(_BENCH_DIR), metavar="PATH",
-            help="directory holding the BENCH_<section>.json files",
-        )
+    dir_help = "directory holding the BENCH_<workload>.json files"
 
     bench_run = bench_sub.add_parser(
-        "run", help="run section benchmarks and append history points"
+        "run", help="run perfbench untraced and traced, append one history point"
     )
-    _bench_scale_args(bench_run)
+    bench_run.add_argument(
+        "--workload", required=True,
+        help="perfbench workload (dense-d4, saturated-pairs, scenario-grid)",
+    )
+    bench_run.add_argument("--seed", type=int, required=True)
+    bench_run.add_argument(
+        "--seconds", type=_POSITIVE_FLOAT, default=25.0,
+        help="length of each of the two perfbench runs (default 25)",
+    )
+    bench_run.add_argument("--dir", default=str(_BENCH_DIR), metavar="PATH", help=dir_help)
     bench_run.set_defaults(func=cmd_bench_run)
 
     bench_report = bench_sub.add_parser(
-        "report", help="render the recorded throughput trajectory"
+        "report", help="render every recorded trajectory"
     )
-    bench_report.add_argument("--dir", default=str(_BENCH_DIR), metavar="PATH")
+    bench_report.add_argument(
+        "--dir", default=str(_BENCH_DIR), metavar="PATH", help=dir_help
+    )
     bench_report.set_defaults(func=cmd_bench_report)
-
-    bench_check = bench_sub.add_parser(
-        "check",
-        help="fail when throughput regresses vs the best comparable prior point",
-    )
-    _bench_scale_args(bench_check)
-    bench_check.add_argument(
-        "--tolerance", type=float, default=0.3,
-        help="allowed fractional drop below the comparable best (default 0.3)",
-    )
-    bench_check.set_defaults(func=cmd_bench_check)
     return parser
 
 
@@ -510,6 +518,9 @@ def cmd_competitive(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run a single policy on a generated workload or a replayed trace."""
+    if args.input is not None and not Path(args.input).is_file():
+        print(f"error: --input {args.input} is not a file", file=sys.stderr)
+        return 2
     policies = all_policies(seed=args.seed, include_direct_first=True)
     if args.policy not in policies:
         print(
@@ -923,92 +934,53 @@ def cmd_search_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_sections(args: argparse.Namespace) -> list:
-    from repro.bench import SECTIONS
-
-    return list(SECTIONS) if args.section is None else [args.section]
-
-
 def cmd_bench_run(args: argparse.Namespace) -> int:
-    """Run benchmark sections and append each point to its history file."""
-    from repro.bench import (
-        BenchBitIdentityError,
-        bench_path,
-        bench_tag,
-        load_history,
-        run_section,
-        save_history,
-    )
+    """Run perfbench twice and append the point to the workload's history."""
+    from repro import bench
 
-    for section in _bench_sections(args):
-        path = bench_path(section, args.dir)
-        try:
-            history = load_history(path)
-        except ValueError as exc:
-            print(f"error: refusing to overwrite benchmark history: {exc}",
-                  file=sys.stderr)
-            return 1
-        try:
-            point = run_section(
-                section, packets=args.packets, racks=args.racks, seed=args.seed
-            )
-        except BenchBitIdentityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        history.append(point)
-        save_history(path, history, bench_tag(section))
+    if not bench.PERFBENCH.is_file():
         print(
-            f"{section:>10}: {point['throughput_pps']:.1f} packets/s, "
-            f"speedup {point['speedup']:.2f}x -> {path} "
-            f"({len(history)} history points)"
+            f"error: no benchmark script at {bench.PERFBENCH}; "
+            "run from a source checkout",
+            file=sys.stderr,
         )
+        return 2
+    path = bench.bench_path(args.workload, args.dir)
+    try:
+        history = bench.load_history(path)
+    except ValueError as exc:
+        print(f"error: refusing to overwrite benchmark history: {exc}", file=sys.stderr)
+        return 1
+    try:
+        point, failures = bench.record_point(args.workload, args.seed, args.seconds)
+    except bench.PerfbenchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if not point["correct"] or point["failed"]:
+        for line in failures:
+            print(line)
+        print(
+            f"error: perfbench reported correct={point['correct']}, "
+            f"failed={point['failed']}; nothing appended to {path}",
+            file=sys.stderr,
+        )
+        return 1
+    history.append(point)
+    bench.save_history(path, history, args.workload)
+    pps = point["end_to_end"]["packets_per_s"]["value"]  # present when correct
+    print(
+        f"{args.workload}: {pps:.1f} packets/s, correct -> {path} "
+        f"({len(history)} history points)"
+    )
     return 0
 
 
 def cmd_bench_report(args: argparse.Namespace) -> int:
-    """Render the recorded throughput trajectory of every section."""
+    """Render the recorded trajectory of every BENCH_*.json file."""
     from repro.bench import render_report
 
     print(render_report(args.dir))
     return 0
-
-
-def cmd_bench_check(args: argparse.Namespace) -> int:
-    """Gate: re-measure sections and fail on a comparable-throughput regression.
-
-    Measures each requested section at the given (smoke) scale and compares
-    against the recorded history WITHOUT appending — the gate observes the
-    trajectory, it does not write it.
-    """
-    from repro.bench import (
-        BenchBitIdentityError,
-        bench_path,
-        check_history,
-        load_history,
-        run_section,
-    )
-
-    if not 0 <= args.tolerance < 1:
-        print("error: --tolerance must lie in [0, 1)", file=sys.stderr)
-        return 2
-    failed = False
-    for section in _bench_sections(args):
-        try:
-            history = load_history(bench_path(section, args.dir))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            point = run_section(
-                section, packets=args.packets, racks=args.racks, seed=args.seed
-            )
-        except BenchBitIdentityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        ok, message = check_history(history, point, args.tolerance)
-        print(f"{section:>10}: {message}")
-        failed = failed or not ok
-    return 1 if failed else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

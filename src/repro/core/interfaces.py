@@ -26,7 +26,6 @@ from repro.core.packet import Assignment, Chunk, Packet
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.queues import PendingChunkPool
     from repro.network.topology import TwoTierTopology
-    from repro.simulation.profiling import PhaseTimings
 
 __all__ = ["Dispatcher", "Scheduler", "Policy"]
 
@@ -123,12 +122,6 @@ class Policy:
     name: str
     dispatcher: Dispatcher
     scheduler: Scheduler
-    #: Optional phase-timing sink.  When set (``timed_policy`` sets it), the
-    #: engine times its own transmission block into ``phase_timings.spans``;
-    #: the dispatcher/scheduler proxies time their phases themselves.  This
-    #: is the explicit contract that replaced the engine's old ``getattr``
-    #: probe for a dynamically attached attribute.
-    phase_timings: Optional["PhaseTimings"] = None
 
     def reset(self) -> None:
         """Reset both components before a fresh simulation run."""

@@ -7,9 +7,9 @@ repository:
   counters/gauges/histograms with a plain-dict snapshot, and its zero-cost
   twin :data:`~repro.obs.registry.NULL_REGISTRY` used whenever observability
   is off;
-* :class:`~repro.obs.spans.SpanTimer` — named wall-clock span accumulation
-  with an injectable clock (the primitive under the legacy
-  :class:`~repro.simulation.profiling.PhaseTimings` adapter);
+* :class:`~repro.obs.spans.SpanTimer` — named wall-clock span accumulation,
+  the one timing path: the engine's slot-sampled phase spans, published as
+  ``engine_phase_seconds`` gauges;
 * :class:`~repro.obs.writer.MetricsWriter` — flushed utf-8 JSONL emission
   for snapshots and progress heartbeats, read back via
   :func:`~repro.obs.writer.iter_metric_records`.

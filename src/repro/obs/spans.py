@@ -1,26 +1,17 @@
-"""Named wall-clock span accumulation with an injectable clock.
+"""Named wall-clock span accumulation.
 
 :class:`SpanTimer` is the single timing primitive of the observability
 layer: it accumulates total seconds and an invocation count per span name.
-Two call styles cover every use in the repository:
-
-* ``start()`` / ``stop(name, start)`` — two calls around a hot block, the
-  style the engine uses for its slot-sampled phase spans and the profiling
-  proxies use around dispatcher/scheduler calls;
-* ``with timer.span("phase"):`` — the convenient context-manager form for
-  non-hot-path callers.
-
-The clock is injected (default :func:`time.perf_counter`) so tests drive
-spans with a fake clock and assert exact totals.  The legacy
-:class:`~repro.simulation.profiling.PhaseTimings` is now a thin adapter over
-one of these timers.
+The simulation engine is its one caller.  Each lane reads
+:func:`time.perf_counter` around the dispatch, scheduler and transmit
+phases of every ``span_stride``-th slot, folds the elapsed seconds in with
+:meth:`SpanTimer.add`, and at run end publishes the totals as
+``engine_phase_seconds{phase=…}`` gauges.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator
+from typing import Dict
 
 __all__ = ["SpanTimer"]
 
@@ -28,58 +19,17 @@ __all__ = ["SpanTimer"]
 class SpanTimer:
     """Accumulates ``(total seconds, count)`` per span name."""
 
-    __slots__ = ("totals", "counts", "_clock")
+    __slots__ = ("totals", "counts")
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
+    def __init__(self) -> None:
         self.totals: Dict[str, float] = {}
         self.counts: Dict[str, int] = {}
-        self._clock = clock
-
-    def start(self) -> float:
-        """A raw clock reading, to be passed to :meth:`stop`."""
-        return self._clock()
-
-    def stop(self, name: str, start: float) -> float:
-        """Close a span opened at ``start``; returns the elapsed seconds."""
-        elapsed = self._clock() - start
-        self.add(name, elapsed)
-        return elapsed
 
     def add(self, name: str, seconds: float) -> None:
         """Fold externally measured ``seconds`` into span ``name``."""
         self.totals[name] = self.totals.get(name, 0.0) + seconds
         self.counts[name] = self.counts.get(name, 0) + 1
 
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        """Context manager form: times the managed block into ``name``."""
-        begin = self._clock()
-        try:
-            yield
-        finally:
-            self.add(name, self._clock() - begin)
-
     def total(self, name: str) -> float:
         """Accumulated seconds of span ``name`` (0.0 when never recorded)."""
         return self.totals.get(name, 0.0)
-
-    def set_total(self, name: str, seconds: float) -> None:
-        """Overwrite span ``name``'s total without touching its count.
-
-        The hook the :class:`~repro.simulation.profiling.PhaseTimings`
-        adapter needs for its writable ``*_s`` attributes.
-        """
-        self.totals[name] = seconds
-        self.counts.setdefault(name, 0)
-
-    def reset(self) -> None:
-        """Forget every span."""
-        self.totals.clear()
-        self.counts.clear()
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """``{name: {"total_s", "count"}}`` in sorted span-name order."""
-        return {
-            name: {"total_s": self.totals[name], "count": self.counts[name]}
-            for name in sorted(self.totals)
-        }

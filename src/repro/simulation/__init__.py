@@ -2,7 +2,6 @@
 
 from repro.simulation.accumulators import CompensatedSum, OnlineSummary, compensated_total
 from repro.simulation.engine import ENGINE_MODES, EngineConfig, SimulationEngine, simulate, simulate_multi
-from repro.simulation.profiling import PhaseTimings, timed_policy
 from repro.simulation.metrics import (
     LatencyStatistics,
     compare_policies,
@@ -29,8 +28,6 @@ __all__ = [
     "SimulationEngine",
     "simulate",
     "simulate_multi",
-    "PhaseTimings",
-    "timed_policy",
     "SimulationResult",
     "PacketRecord",
     "CompensatedSum",

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.interfaces import Policy
@@ -609,7 +609,6 @@ class _PolicyLane:
         "_slots_simulated",
         "_aggregate",
         "_want_events",
-        "_timings",
         "_obs_on",
         "_stride",
         "_spans",
@@ -658,10 +657,6 @@ class _PolicyLane:
             _LaneFaults(faults, engine.topology) if faults is not None and faults else None
         )
         self._topology = self._faults.view if self._faults is not None else engine.topology
-        # Profiled policies (see repro.simulation.timed_policy) declare their
-        # PhaseTimings on the Policy field; the engine times the transmit
-        # phase for them.
-        self._timings = policy.phase_timings
         self._slots_simulated = 0
         self._aggregate = engine.config.retention == "aggregate"
         self._want_events = engine.config.record_trace or writer is not None
@@ -787,9 +782,7 @@ class _PolicyLane:
             self._hist_matching.observe(size)
             chunks_before = len(pool)
 
-        timings = self._timings
-        time_transmit = timings is not None or sampled
-        transmit_start = time.perf_counter() if time_transmit else 0.0
+        transmit_start = time.perf_counter() if sampled else 0.0
         if faults is not None and faults.state.any_degraded:
             rates = faults.state.degraded
             speed = config.speed
@@ -806,12 +799,8 @@ class _PolicyLane:
         else:
             for chunk in matching:
                 engine._transmit_on_edge(chunk, pool, slot, self.recorder, slot_trace)
-        if time_transmit:
-            elapsed = time.perf_counter() - transmit_start
-            if timings is not None:
-                timings.spans.add("transmit", elapsed)
-            if sampled:
-                spans.add("transmit", elapsed)
+        if sampled:
+            spans.add("transmit", time.perf_counter() - transmit_start)
         if obs_on:
             self._m_chunks_completed += chunks_before - len(pool)
 
@@ -1069,23 +1058,16 @@ class SimulationEngine:
         topology.freeze()
         self.topology = topology
         self.policy = policy
-        base = config or EngineConfig()
-        self.config = EngineConfig(
-            speed=base.speed if speed is None else speed,
-            max_slots=base.max_slots if max_slots is None else max_slots,
-            record_trace=base.record_trace if record_trace is None else record_trace,
-            validate_matchings=base.validate_matchings,
-            slot_skipping=base.slot_skipping,
-            retention=base.retention if retention is None else retention,
-            trace_path=base.trace_path,
-            engine=base.engine if engine is None else engine,
-            share_dispatch=base.share_dispatch,
-            validate_shared_dispatch=base.validate_shared_dispatch,
-            obs=base.obs,
-            metrics_path=base.metrics_path,
-            span_stride=base.span_stride,
-            faults=base.faults,
-            on_fail=base.on_fail,
+        shortcuts = {
+            "speed": speed,
+            "record_trace": record_trace,
+            "max_slots": max_slots,
+            "retention": retention,
+            "engine": engine,
+        }
+        self.config = replace(
+            config or EngineConfig(),
+            **{name: value for name, value in shortcuts.items() if value is not None},
         )
         #: The metrics registry every lane of this engine records into: the
         #: configured one, a private one when only ``metrics_path`` is set,

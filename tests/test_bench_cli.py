@@ -1,9 +1,10 @@
-"""Tests for the benchmark institution (repro.bench) and the bench CLI.
+"""Tests for the benchmark trajectory (repro.bench) and the bench CLI.
 
 The history-file migration/corruption rules are pinned in
-tests/test_bench_history.py; this file covers the sectioned
-runners, the machine/scale comparability logic, the pure regression gate
-and the ``bench run|report|check`` subcommands end to end at smoke scale.
+tests/test_bench_history.py.  This file drives ``bench run`` against a fake
+``perfbench/run.py`` that prints scripted output, so every outcome of a run
+(correct, failing, unreadable, crashed) is exercised in milliseconds, and
+renders ``bench report`` over new and legacy points.
 """
 
 from __future__ import annotations
@@ -13,177 +14,159 @@ import json
 import pytest
 
 from repro import bench
-from repro.cli import _BENCH_SECTIONS, main
+from repro.cli import main
 
-SMOKE = dict(packets=200, racks=8, seed=15)
-SMOKE_ARGS = ["--packets", "200", "--racks", "8", "--seed", "15"]
-
-
-def _smoke_point(section: str = "dispatch"):
-    return bench.run_section(section, **SMOKE)
+MACHINE = {"nproc": 2, "python": "3.11.7", "implementation": "CPython",
+           "platform": "Linux-test"}
+RUN_ARGS = ["--workload", "dense-d4", "--seed", "16", "--seconds", "0.5"]
 
 
-@pytest.fixture(scope="module")
-def dispatch_point():
-    return _smoke_point("dispatch")
+def _metrics(**values):
+    return {name: {"value": value, "unit": "s"} for name, value in values.items()}
 
 
-class TestSections:
-    def test_cli_section_literal_matches_bench(self):
-        assert _BENCH_SECTIONS == bench.SECTIONS
-
-    @pytest.mark.parametrize("section", bench.SECTIONS)
-    def test_every_section_returns_a_valid_point(self, section):
-        point = _smoke_point(section)
-        assert bench.validate_point(point) == []
-        assert point["section"] == section
-        assert point["cell"]["num_racks"] == SMOKE["racks"]
-        assert point["throughput_pps"] > 0
-        assert point["bit_identical"] is True
-        json.dumps(point)  # JSON-serialisable as recorded
-
-    def test_unknown_section_rejected(self):
-        with pytest.raises(ValueError, match="unknown bench section"):
-            bench.run_section("warp-drive")
-        with pytest.raises(ValueError):
-            bench.bench_path("warp-drive", ".")
+END_TO_END = _metrics(packets_per_s=20000.0, setup_s=0.6)
+PER_LAYER = _metrics(**{"scheduler.busy_s": 0.25, "engine.self_s": 0.5,
+                        "trace.wall_s": 1.0})
 
 
-class TestComparability:
-    def test_machine_key_ignores_python_patch_version(self, dispatch_point):
-        other = json.loads(json.dumps(dispatch_point))
-        other["machine"]["python"] = "0.0.0"
-        assert bench.machine_key(other) == bench.machine_key(dispatch_point)
-        other["machine"]["platform"] = "other-box"
-        assert bench.machine_key(other) != bench.machine_key(dispatch_point)
-
-    def test_unstamped_point_has_no_key(self):
-        assert bench.machine_key({}) is None
-        assert bench.machine_key({"machine": {"platform": "x"}}) is None
-
-    def test_scale_and_throughput_of_legacy_dispatch_points(self):
-        legacy = {
-            "machine": bench.machine_stamp(),
-            "cell": {"num_racks": 64},
-            "single_run": {"num_packets": 5000, "packets_per_s_indexed": 750.5},
-        }
-        assert bench.point_scale(legacy) == (64, 5000)
-        assert bench.point_throughput(legacy) == 750.5
-
-    def test_validate_point_flags_problems(self, dispatch_point):
-        assert bench.validate_point(dispatch_point) == []
-        broken = json.loads(json.dumps(dispatch_point))
-        broken["schema"] = 99
-        broken["throughput_pps"] = -1
-        del broken["machine"]
-        problems = bench.validate_point(broken)
-        assert any("schema" in p for p in problems)
-        assert any("machine" in p for p in problems)
-        assert any("throughput" in p for p in problems)
+def _output(metrics, correct=True, failures=()):
+    """perfbench's stdout: header line, table, FAILED lines, result line."""
+    header = {"machine": MACHINE, "workload": "dense-d4", "seed": 16, "samples": {}}
+    result = {"correct": correct, "attempted": 6, "failed": len(failures),
+              "metrics": metrics}
+    lines = [json.dumps(header), "table row ..."]
+    lines += [f"FAILED {failure}" for failure in failures]
+    lines.append(json.dumps(result))
+    return "\n".join(lines) + "\n"
 
 
-class TestCheckHistory:
-    def _clone(self, point, **overrides):
-        clone = json.loads(json.dumps(point))
-        clone.update(overrides)
-        return clone
+@pytest.fixture
+def fake_perfbench(tmp_path, monkeypatch):
+    """Point repro.bench at a fake run.py printing ``outputs[trace]``.
 
-    def test_empty_history_passes(self, dispatch_point):
-        ok, message = bench.check_history([], dispatch_point, 0.3)
-        assert ok
-        assert "no comparable prior" in message
+    The fake appends its argv to ``calls.jsonl`` so tests can see how (and
+    whether) it was invoked.
+    """
+    log = tmp_path / "calls.jsonl"
 
-    def test_within_tolerance_passes(self, dispatch_point):
-        prior = self._clone(
-            dispatch_point, throughput_pps=dispatch_point["throughput_pps"] * 1.2
+    def install(outputs, exit_code=0):
+        script = tmp_path / "run.py"
+        script.write_text(
+            "import json, sys\n"
+            f"with open({str(log)!r}, 'a') as handle:\n"
+            "    handle.write(json.dumps(sys.argv[1:]) + '\\n')\n"
+            f"outputs = {outputs!r}\n"
+            "sys.stdout.write(outputs[sys.argv[sys.argv.index('--trace') + 1]])\n"
+            "sys.stderr.write('fake stderr\\n')\n"
+            f"sys.exit({exit_code})\n",
+            encoding="utf-8",
         )
-        ok, message = bench.check_history([prior], dispatch_point, 0.3)
-        assert ok
-        assert "OK" in message
+        monkeypatch.setattr(bench, "PERFBENCH", script)
+        return log
 
-    def test_regression_fails(self, dispatch_point):
-        prior = self._clone(
-            dispatch_point, throughput_pps=dispatch_point["throughput_pps"] * 10
-        )
-        ok, message = bench.check_history([prior], dispatch_point, 0.3)
-        assert not ok
-        assert "REGRESSION" in message
+    return install
 
-    def test_other_machine_is_not_comparable(self, dispatch_point):
-        prior = self._clone(
-            dispatch_point, throughput_pps=dispatch_point["throughput_pps"] * 10
-        )
-        prior["machine"]["platform"] = "someone-elses-laptop"
-        ok, _message = bench.check_history([prior], dispatch_point, 0.3)
-        assert ok
 
-    def test_other_scale_is_not_comparable(self, dispatch_point):
-        prior = self._clone(
-            dispatch_point, throughput_pps=dispatch_point["throughput_pps"] * 10
-        )
-        prior["cell"]["num_packets"] = 10 * prior["cell"]["num_packets"]
-        ok, _message = bench.check_history([prior], dispatch_point, 0.3)
-        assert ok
-
-    def test_best_comparable_point_wins(self, dispatch_point):
-        slow = self._clone(dispatch_point, throughput_pps=1.0)
-        fast = self._clone(
-            dispatch_point, throughput_pps=dispatch_point["throughput_pps"] * 10
-        )
-        ok, _ = bench.check_history([slow], dispatch_point, 0.3)
-        assert ok
-        ok, _ = bench.check_history([slow, fast], dispatch_point, 0.3)
-        assert not ok
-
-    def test_bad_tolerance_rejected(self, dispatch_point):
-        with pytest.raises(ValueError, match="tolerance"):
-            bench.check_history([], dispatch_point, 1.0)
-        with pytest.raises(ValueError):
-            bench.check_history([], dispatch_point, -0.1)
+def _correct_outputs():
+    return {"0": _output(END_TO_END), "1": _output(PER_LAYER)}
 
 
 class TestHistoryFiles:
-    def test_save_load_round_trip(self, tmp_path, dispatch_point):
-        path = bench.bench_path("dispatch", tmp_path)
-        assert path.name == "BENCH_dispatch.json"
-        bench.save_history(path, [dispatch_point], bench.bench_tag("dispatch"))
-        assert bench.load_history(path) == [dispatch_point]
+    def test_save_load_round_trip(self, tmp_path):
+        point = {"recorded_at": "2026-01-01T00:00:00+00:00", "workload": "dense-d4",
+                 "end_to_end": END_TO_END, "per_layer": PER_LAYER}
+        path = bench.bench_path("dense-d4", tmp_path)
+        assert path.name == "BENCH_dense-d4.json"
+        bench.save_history(path, [point], "dense-d4")
+        assert bench.load_history(path) == [point]
         document = json.loads(path.read_text(encoding="utf-8"))
-        assert document["benchmark"] == "dispatch-hot-path"
+        assert document["benchmark"] == "dense-d4"
 
-    def test_other_sections_get_their_own_files(self, tmp_path):
-        names = {bench.bench_path(s, tmp_path).name for s in bench.SECTIONS}
-        assert names == {f"BENCH_{s}.json" for s in bench.SECTIONS}
-        assert bench.bench_tag("scheduler") == "scheduler-hot-path"
+    def test_other_workloads_get_their_own_files(self, tmp_path):
+        names = {
+            bench.bench_path(w, tmp_path).name
+            for w in ("dense-d4", "saturated-pairs", "scenario-grid")
+        }
+        assert names == {
+            "BENCH_dense-d4.json", "BENCH_saturated-pairs.json",
+            "BENCH_scenario-grid.json",
+        }
 
 
 class TestBenchCli:
-    def test_run_appends_history_points(self, tmp_path, capsys):
-        args = ["bench", "run", "--section", "dispatch", "--dir", str(tmp_path)]
-        assert main(args + SMOKE_ARGS) == 0
-        assert main(args + SMOKE_ARGS) == 0
-        history = bench.load_history(bench.bench_path("dispatch", tmp_path))
+    def test_run_appends_history_points(self, tmp_path, fake_perfbench, capsys):
+        log = fake_perfbench(_correct_outputs())
+        args = ["bench", "run", *RUN_ARGS, "--dir", str(tmp_path)]
+        assert main(args) == 0
+        assert main(args) == 0
+        history = bench.load_history(bench.bench_path("dense-d4", tmp_path))
         assert len(history) == 2
-        assert all(bench.validate_point(p) == [] for p in history)
+        point = history[-1]
+        assert point["machine"] == MACHINE
+        assert (point["workload"], point["seed"], point["seconds"]) == ("dense-d4", 16, 0.5)
+        assert point["end_to_end"] == END_TO_END
+        assert point["per_layer"] == PER_LAYER
+        assert point["correct"] is True and point["failed"] == 0
+        assert isinstance(point["recorded_at"], str)
         out = capsys.readouterr().out
+        assert "20000.0 packets/s" in out
         assert "2 history points" in out
+        calls = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [call[-1] for call in calls] == ["0", "1", "0", "1"]
+        assert calls[0][:-2] == RUN_ARGS
 
-    def test_run_refuses_corrupt_history(self, tmp_path, capsys):
-        path = bench.bench_path("dispatch", tmp_path)
+    def test_incorrect_run_appends_nothing(self, tmp_path, fake_perfbench, capsys):
+        fake_perfbench({
+            "0": _output(END_TO_END),
+            "1": _output(PER_LAYER, correct=False, failures=["pins: digest mismatch"]),
+        })
+        assert main(["bench", "run", *RUN_ARGS, "--dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "FAILED pins: digest mismatch" in captured.out
+        assert "nothing appended" in captured.err
+        assert not bench.bench_path("dense-d4", tmp_path).exists()
+
+    def test_unparsable_output_is_an_error(self, tmp_path, fake_perfbench, capsys):
+        fake_perfbench({"0": "no json here\n", "1": "nor here\n"})
+        assert main(["bench", "run", *RUN_ARGS, "--dir", str(tmp_path)]) == 1
+        assert "no machine stamp and result line" in capsys.readouterr().err
+        assert not bench.bench_path("dense-d4", tmp_path).exists()
+
+    def test_crashed_perfbench_is_an_error(self, tmp_path, fake_perfbench, capsys):
+        fake_perfbench(_correct_outputs(), exit_code=2)
+        assert main(["bench", "run", *RUN_ARGS, "--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "exited 2" in err and "fake stderr" in err
+        assert not bench.bench_path("dense-d4", tmp_path).exists()
+
+    def test_unknown_workload_rejected(self, tmp_path, capsys):
+        # The real perfbench: it refuses the name before running anything.
+        argv = ["bench", "run", "--workload", "warp-drive", "--seed", "1",
+                "--seconds", "1", "--dir", str(tmp_path)]
+        assert main(argv) == 1
+        assert "unknown workload 'warp-drive'" in capsys.readouterr().err
+        assert not bench.bench_path("warp-drive", tmp_path).exists()
+
+    def test_missing_perfbench_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "PERFBENCH", tmp_path / "absent" / "run.py")
+        assert main(["bench", "run", *RUN_ARGS, "--dir", str(tmp_path)]) == 2
+        assert "error: no benchmark script" in capsys.readouterr().err
+
+    def test_run_refuses_corrupt_history(self, tmp_path, fake_perfbench, capsys):
+        log = fake_perfbench(_correct_outputs())
+        path = bench.bench_path("dense-d4", tmp_path)
         path.write_text("not json", encoding="utf-8")
-        code = main(
-            ["bench", "run", "--section", "dispatch", "--dir", str(tmp_path)]
-            + SMOKE_ARGS
-        )
-        assert code == 1
+        assert main(["bench", "run", *RUN_ARGS, "--dir", str(tmp_path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+        assert path.read_text(encoding="utf-8") == "not json"
+        assert not log.exists()  # refused before perfbench ran
 
-    def test_report_renders_new_and_legacy_points(
-        self, tmp_path, dispatch_point, capsys
-    ):
+    def test_report_renders_new_and_legacy_points(self, tmp_path, fake_perfbench, capsys):
+        fake_perfbench(_correct_outputs())
+        assert main(["bench", "run", *RUN_ARGS, "--dir", str(tmp_path)]) == 0
         legacy = {
             "recorded_at": "2026-01-01T00:00:00+00:00",
-            "machine": bench.machine_stamp(),
             "cell": {"num_racks": 64},
             "single_run": {
                 "num_packets": 5000,
@@ -192,49 +175,33 @@ class TestBenchCli:
             },
         }
         bench.save_history(
-            bench.bench_path("dispatch", tmp_path),
-            [legacy, dispatch_point],
-            bench.bench_tag("dispatch"),
+            bench.bench_path("dispatch", tmp_path), [legacy], "dispatch-hot-path"
         )
+        capsys.readouterr()
         assert main(["bench", "report", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "dispatch (BENCH_dispatch.json, 2 points)" in out
-        assert "750.5 pps" in out       # legacy point rendered
-        assert "12.00x" in out
+        assert "dense-d4 (BENCH_dense-d4.json, 1 points)" in out
+        assert "20000.0 packets/s" in out
+        assert "scheduler.busy_s 25.0%, engine.self_s 50.0%" in out
+        assert "dispatch (BENCH_dispatch.json, 1 points)" in out
+        assert "750.5 packets/s" in out      # legacy point rendered
+        assert "speedup 12.0x" in out
         assert "2026-01-01T00:00:00+00:00" in out
-        assert "streaming: no history" in out
 
-    def test_check_passes_on_empty_and_consistent_history(self, tmp_path, capsys):
-        args = ["bench", "--dir", str(tmp_path), "--section", "dispatch"]
-        assert main(["bench", "check", "--dir", str(tmp_path),
-                     "--section", "dispatch"] + SMOKE_ARGS) == 0
-        assert "no comparable prior" in capsys.readouterr().out
-        # Record a real point, then re-check with a generous tolerance.
-        assert main(["bench", "run", "--dir", str(tmp_path),
-                     "--section", "dispatch"] + SMOKE_ARGS) == 0
-        assert main(["bench", "check", "--dir", str(tmp_path), "--section",
-                     "dispatch", "--tolerance", "0.9"] + SMOKE_ARGS) == 0
+    def test_report_renders_the_committed_legacy_history(self, tmp_path, capsys):
+        committed = bench.PERFBENCH.parents[1] / "BENCH_dispatch.json"
+        (tmp_path / committed.name).write_bytes(committed.read_bytes())
+        assert main(["bench", "report", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "dispatch (BENCH_dispatch.json, 3 points)" in out
+        assert out.count("legacy section point: 5000 packets") == 3
+        assert "4997.1 packets/s" in out
 
-    def test_check_fails_on_injected_regression(
-        self, tmp_path, dispatch_point, capsys
-    ):
-        # A synthetic prior point from THIS machine at THIS scale claiming
-        # impossible throughput: the gate must flag the (real) re-measurement
-        # as a regression and exit non-zero.
-        impossible = json.loads(json.dumps(dispatch_point))
-        impossible["throughput_pps"] = dispatch_point["throughput_pps"] * 1000
-        bench.save_history(
-            bench.bench_path("dispatch", tmp_path),
-            [impossible],
-            bench.bench_tag("dispatch"),
-        )
-        code = main(["bench", "check", "--dir", str(tmp_path),
-                     "--section", "dispatch"] + SMOKE_ARGS)
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().out
+    def test_report_flags_unreadable_history(self, tmp_path, capsys):
+        (tmp_path / "BENCH_dense-d4.json").write_text("[1, 2]", encoding="utf-8")
+        assert main(["bench", "report", "--dir", str(tmp_path)]) == 0
+        assert "dense-d4: UNREADABLE" in capsys.readouterr().out
 
-    def test_check_bad_tolerance_rejected(self, tmp_path, capsys):
-        code = main(["bench", "check", "--dir", str(tmp_path),
-                     "--tolerance", "1.5"])
-        assert code == 2
-        assert "--tolerance" in capsys.readouterr().err
+    def test_report_of_empty_directory(self, tmp_path, capsys):
+        assert main(["bench", "report", "--dir", str(tmp_path)]) == 0
+        assert "no BENCH_*.json history" in capsys.readouterr().out

@@ -27,6 +27,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--workload", "nope"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--racks", "0"],
+            ["simulate", "--racks", "1"],
+            ["simulate", "--packets", "0"],
+            ["simulate", "--speed", "0"],
+            ["simulate", "--speed", "nan"],
+            ["compare", "--packets", "-5"],
+            ["compare", "--racks", "x"],
+            ["competitive", "--packets", "0"],
+            ["competitive", "--instances", "0"],
+            ["sweep", "--experiment", "hybrid", "--racks", "0"],
+            ["sweep", "--lp-packets", "0"],
+            ["bench", "run", "--workload", "dense-d4", "--seed", "1", "--seconds", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_sizes_exit_2_with_an_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --" in err and "expected" in err
+
 
 class TestFiguresCommand:
     def test_reproduces_paper_numbers(self, capsys):
@@ -64,6 +89,11 @@ class TestCompetitiveCommand:
 
 
 class TestSimulateCommand:
+    def test_missing_input_is_an_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        assert main(["simulate", "--input", str(missing)]) == 2
+        assert f"error: --input {missing} is not a file" in capsys.readouterr().err
+
     def test_generated_workload(self, capsys):
         code = main(
             ["simulate", "--racks", "4", "--packets", "20", "--policy", "alg", "--seed", "5"]

@@ -2,8 +2,8 @@
 
 Covers the registry's determinism contract (snapshots are pure functions of
 the operations applied), histogram bucket edges, the shared no-op
-singletons, the SpanTimer with a fake injectable clock, the PhaseTimings
-adapter compatibility, and the MetricsWriter JSONL round-trip.
+singletons, the SpanTimer's accumulation, and the MetricsWriter JSONL
+round-trip.
 """
 
 from __future__ import annotations
@@ -22,16 +22,6 @@ from repro.obs import (
     log_spaced_buckets,
     read_metric_records,
 )
-
-
-class FakeClock:
-    """Deterministic clock: each call returns the next scripted reading."""
-
-    def __init__(self, *readings: float) -> None:
-        self._readings = list(readings)
-
-    def __call__(self) -> float:
-        return self._readings.pop(0)
 
 
 class TestRegistry:
@@ -152,68 +142,15 @@ class TestNullRegistry:
 
 
 class TestSpanTimer:
-    def test_start_stop_with_fake_clock(self):
-        timer = SpanTimer(clock=FakeClock(10.0, 12.5, 20.0, 21.0))
-        begin = timer.start()
-        assert timer.stop("dispatch", begin) == pytest.approx(2.5)
-        begin = timer.start()
-        timer.stop("dispatch", begin)
+    def test_add_accumulates_totals_and_counts(self):
+        timer = SpanTimer()
+        assert timer.total("dispatch") == 0.0
+        timer.add("dispatch", 2.5)
+        timer.add("dispatch", 1.0)
+        timer.add("transmit", 0.25)
         assert timer.total("dispatch") == pytest.approx(3.5)
-        assert timer.counts["dispatch"] == 2
-
-    def test_context_manager_form(self):
-        timer = SpanTimer(clock=FakeClock(1.0, 4.0))
-        with timer.span("phase"):
-            pass
-        assert timer.total("phase") == pytest.approx(3.0)
-
-    def test_set_total_overwrites_without_count(self):
-        timer = SpanTimer(clock=FakeClock())
-        timer.set_total("transmit", 9.0)
-        assert timer.total("transmit") == 9.0
-        assert timer.counts["transmit"] == 0
-        timer.add("transmit", 1.0)
-        assert timer.total("transmit") == 10.0
-        assert timer.counts["transmit"] == 1
-
-    def test_reset_and_snapshot(self):
-        timer = SpanTimer(clock=FakeClock())
-        timer.add("b", 2.0)
-        timer.add("a", 1.0)
-        assert list(timer.snapshot()) == ["a", "b"]
-        assert timer.snapshot()["b"] == {"total_s": 2.0, "count": 1}
-        timer.reset()
-        assert timer.snapshot() == {}
-        assert timer.total("a") == 0.0
-
-
-class TestPhaseTimingsAdapter:
-    def test_adapter_reads_and_writes_through_spans(self):
-        from repro.simulation.profiling import PhaseTimings
-
-        timings = PhaseTimings()
-        timings.spans.add("dispatch", 1.0)
-        assert timings.dispatch_s == pytest.approx(1.0)
-        timings.scheduler_s = 2.0
-        assert timings.spans.total("scheduler") == pytest.approx(2.0)
-        timings.transmit_s = 0.5
-        breakdown = timings.breakdown(total_s=5.0)
-        assert breakdown["bookkeeping_s"] == pytest.approx(1.5)
-        timings.reset()
-        assert timings.dispatch_s == 0.0
-
-    def test_timed_policy_still_times_phases(self, line_topology):
-        from repro.core import OpportunisticLinkScheduler, Packet
-        from repro.simulation import simulate, timed_policy
-
-        policy, timings = timed_policy(OpportunisticLinkScheduler())
-        assert policy.phase_timings is timings
-        packets = [Packet(i, "s", "d", 1.0, 1) for i in range(4)]
-        result = simulate(line_topology, policy, packets)
-        assert result.all_delivered
-        assert timings.dispatch_s >= 0.0
-        assert timings.scheduler_s >= 0.0
-        assert timings.transmit_s > 0.0  # engine-timed, ran at least one slot
+        assert timer.totals == {"dispatch": 3.5, "transmit": 0.25}
+        assert timer.counts == {"dispatch": 2, "transmit": 1}
 
 
 class TestMetricsWriter:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import OpportunisticLinkScheduler, Packet, Policy, StableMatchingScheduler
 from repro.core.dispatcher import ImpactDispatcher
 from repro.core.interfaces import Scheduler
 from repro.exceptions import SchedulingError, SimulationError
+from repro.faults import FaultSchedule
 from repro.network import TwoTierTopology, figure1_topology, single_tier_crossbar
+from repro.obs import MetricsRegistry
 from repro.simulation import EngineConfig, SimulationEngine, simulate
 from repro.workloads import figure1_packets, uniform_random_workload
 
@@ -229,6 +233,49 @@ class TestEngineConfig:
     def test_invalid_max_slots(self):
         with pytest.raises(ValueError):
             EngineConfig(max_slots=0)
+
+    # A non-default value for every EngineConfig field; the key check below
+    # fails when a field is added without being listed here.
+    NON_DEFAULTS = dict(
+        speed=2.5,
+        max_slots=123,
+        record_trace=True,
+        validate_matchings=False,
+        slot_skipping=False,
+        retention="aggregate",
+        trace_path="slots.jsonl",
+        engine="reference",
+        share_dispatch=False,
+        validate_shared_dispatch=True,
+        obs=MetricsRegistry(),
+        metrics_path="metrics.jsonl",
+        span_stride=3,
+        faults=FaultSchedule(),
+        on_fail="drop",
+    )
+
+    def test_every_field_survives_the_constructor(self, line_topology, alg_policy):
+        names = {field.name for field in dataclasses.fields(EngineConfig)}
+        assert set(self.NON_DEFAULTS) == names
+        defaults = EngineConfig()
+        for name, value in self.NON_DEFAULTS.items():
+            assert getattr(defaults, name) != value, name
+        config = EngineConfig(**self.NON_DEFAULTS)
+        engine = SimulationEngine(line_topology, alg_policy, config)
+        for name, value in self.NON_DEFAULTS.items():
+            assert getattr(engine.config, name) is value, name
+
+    def test_each_shortcut_overrides_its_field(self, line_topology, alg_policy):
+        config = EngineConfig(**self.NON_DEFAULTS)
+        shortcuts = dict(
+            speed=1.5, record_trace=False, max_slots=77, retention="full",
+            engine="indexed",
+        )
+        for name, value in shortcuts.items():
+            engine = SimulationEngine(line_topology, alg_policy, config, **{name: value})
+            for field in dataclasses.fields(EngineConfig):
+                expected = value if field.name == name else self.NON_DEFAULTS[field.name]
+                assert getattr(engine.config, field.name) == expected, (name, field.name)
 
     def test_engine_freezes_topology(self, alg_policy):
         topo = TwoTierTopology()
