@@ -13,8 +13,9 @@ PR 9's instrumentation promises two things the engine's hot loops depend on:
 The comparison reuses the E15 receiver-hotspot cell so the overhead is
 measured where the per-slot loop is genuinely busy, under the indexed
 engine (the production default).  Both configurations are timed
-back-to-back on the same process and inputs; the plain run goes first so a
-cold allocator penalises the *uninstrumented* side if anything.
+back-to-back on the same process and inputs, in three interleaved
+plain/observed pairs, and each side counts its best run; the plain run goes
+first so a cold allocator penalises the *uninstrumented* side if anything.
 
 Environment knobs (the CI smoke step shrinks the cell and relaxes the
 threshold; the defaults are the full-size assertions):
@@ -42,6 +43,7 @@ E18_PACKETS = int(os.environ.get("REPRO_E18_PACKETS", "3000"))
 E18_RACKS = int(os.environ.get("REPRO_E18_RACKS", "48"))
 E18_SPAN_STRIDE = int(os.environ.get("REPRO_E18_SPAN_STRIDE", "16"))
 E18_MAX_OVERHEAD = float(os.environ.get("REPRO_E18_MAX_OVERHEAD", "0.25"))
+E18_REPEATS = 3
 
 
 def _dense_cell(num_packets: int = E18_PACKETS, num_racks: int = E18_RACKS,
@@ -70,31 +72,37 @@ def test_e18_obs_overhead_bounded_and_bit_identical(
     topology, packets = _dense_cell()
     metrics_path = tmp_path / "metrics.jsonl"
 
-    def compare():
-        # Both timed runs start from a freshly collected heap, so a full
-        # collection of objects left by earlier tests cannot land in one
+    def timed(**obs_kwargs):
+        # Each timed run starts from a freshly collected heap, so a full
+        # collection of objects left by earlier runs cannot land in one
         # run and not the other.
         gc.collect()
         start = time.perf_counter()
-        plain = simulate(
+        result = simulate(
             topology, OpportunisticLinkScheduler(), packets,
-            engine="indexed", max_slots=10_000_000,
+            engine="indexed", max_slots=10_000_000, **obs_kwargs,
         )
-        plain_s = time.perf_counter() - start
+        return time.perf_counter() - start, result.summary()
 
-        registry = MetricsRegistry()
-        gc.collect()
-        start = time.perf_counter()
-        observed = simulate(
-            topology, OpportunisticLinkScheduler(), packets,
-            engine="indexed", max_slots=10_000_000,
-            obs=registry, span_stride=E18_SPAN_STRIDE,
-            metrics_path=str(metrics_path),
+    def compare():
+        # Best of E18_REPEATS interleaved plain/observed pairs per side: a
+        # single shot lets one scheduling hiccup on a shared machine decide
+        # the ratio.
+        plain_times, observed_times, observed_summaries = [], [], []
+        for _ in range(E18_REPEATS):
+            plain_s, plain_summary = timed()
+            registry = MetricsRegistry()
+            observed_s, observed_summary = timed(
+                obs=registry, span_stride=E18_SPAN_STRIDE, metrics_path=str(metrics_path)
+            )
+            plain_times.append(plain_s)
+            observed_times.append(observed_s)
+            observed_summaries.append(observed_summary)
+        return (
+            min(plain_times), plain_summary, min(observed_times), observed_summaries, registry
         )
-        observed_s = time.perf_counter() - start
-        return plain_s, plain.summary(), observed_s, observed.summary(), registry
 
-    plain_s, plain_summary, observed_s, observed_summary, registry = run_once(compare)
+    plain_s, plain_summary, observed_s, observed_summaries, registry = run_once(compare)
     overhead = observed_s / plain_s - 1.0
     counters = registry.snapshot()["counters"]
     arrived = sum(
@@ -109,10 +117,11 @@ def test_e18_obs_overhead_bounded_and_bit_identical(
         f"recorded: {len(counters)} counter series, "
         f"{arrived} packets counted, span stride {E18_SPAN_STRIDE}",
     )
-    assert observed_summary == plain_summary, (
-        "instrumented run diverged from the plain run\n"
-        f"plain:      {plain_summary}\ninstrumented: {observed_summary}"
-    )
+    for observed_summary in observed_summaries:
+        assert observed_summary == plain_summary, (
+            "instrumented run diverged from the plain run\n"
+            f"plain:      {plain_summary}\ninstrumented: {observed_summary}"
+        )
     assert arrived == len(packets)
     (record,) = read_metric_records(metrics_path)
     assert record["snapshot"] == registry.snapshot()

@@ -14,17 +14,11 @@ only meaningful for runs of the paper's algorithm.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.dispatcher import EdgeImpact, compute_edge_impact_auto
+from repro.core.dispatcher import _fold_impacts, edge_assignment, fixed_assignment
 from repro.core.interfaces import Dispatcher
-from repro.core.packet import (
-    Assignment,
-    EdgeAssignment,
-    FixedLinkAssignment,
-    Packet,
-    split_into_chunks,
-)
+from repro.core.packet import Assignment, EdgeAssignment, Packet
 from repro.core.queues import PendingChunkPool
 from repro.exceptions import RoutingError
 from repro.network.topology import TwoTierTopology
@@ -38,44 +32,15 @@ __all__ = [
 ]
 
 
-def _edge_assignment(
+def _impact_assignment(
     packet: Packet,
-    transmitter: str,
-    receiver: str,
+    edges: Sequence[Tuple[str, str]],
     topology: TwoTierTopology,
     pool: PendingChunkPool,
 ) -> EdgeAssignment:
-    """Build an :class:`EdgeAssignment` (with chunks and recorded impact) for an edge."""
-    impact = compute_edge_impact_auto(packet, transmitter, receiver, topology, pool)
-    return _impact_assignment(packet, impact, topology)
-
-
-def _impact_assignment(
-    packet: Packet, impact: EdgeImpact, topology: TwoTierTopology
-) -> EdgeAssignment:
-    """Build the :class:`EdgeAssignment` for the edge ``impact`` was computed on."""
-    transmitter, receiver = impact.transmitter, impact.receiver
-    chunks = split_into_chunks(
-        packet,
-        transmitter,
-        receiver,
-        edge_delay=impact.edge_delay,
-        head_delay=topology.head_delay(transmitter),
-        tail_delay=topology.tail_delay(receiver),
-    )
-    return EdgeAssignment(
-        packet=packet,
-        transmitter=transmitter,
-        receiver=receiver,
-        edge_delay=impact.edge_delay,
-        impact=impact.total,
-        chunks=chunks,
-    )
-
-
-def _fixed_assignment(packet: Packet, topology: TwoTierTopology) -> FixedLinkAssignment:
-    delay = topology.fixed_link_delay(packet.source, packet.destination)
-    return FixedLinkAssignment(packet=packet, link_delay=delay, impact=packet.weight * delay)
+    """Assign ``packet`` to the minimum-``Δ_p(e)`` edge of ``edges``, recording that impact."""
+    total, (transmitter, receiver), edge_delay = _fold_impacts(packet, edges, topology, pool)
+    return edge_assignment(packet, transmitter, receiver, edge_delay, total, topology)
 
 
 def _require_routable(packet: Packet, candidates: List[Tuple[str, str]], has_fixed: bool) -> None:
@@ -116,8 +81,8 @@ class RandomDispatcher(Dispatcher):
             options.append(None)  # None encodes the fixed link
         choice = options[int(self._rng.integers(len(options)))]
         if choice is None:
-            return _fixed_assignment(packet, topology)
-        return _edge_assignment(packet, choice[0], choice[1], topology, pool)
+            return fixed_assignment(packet, topology)
+        return _impact_assignment(packet, (choice,), topology, pool)
 
 
 class LeastLoadedDispatcher(Dispatcher):
@@ -146,7 +111,7 @@ class LeastLoadedDispatcher(Dispatcher):
         has_fixed = topology.has_fixed_link(packet.source, packet.destination)
         _require_routable(packet, candidates, has_fixed)
         if not candidates:
-            return _fixed_assignment(packet, topology)
+            return fixed_assignment(packet, topology)
         tx_load: Dict[str, float] = {}
         rx_load: Dict[str, float] = {}
         best: Optional[Tuple[str, str]] = None
@@ -168,7 +133,7 @@ class LeastLoadedDispatcher(Dispatcher):
                 delay = topology.path_delay(t, r)
                 if delay < best_delay or (delay == best_delay and edge < best):
                     best, best_delay = edge, delay
-        return _edge_assignment(packet, best[0], best[1], topology, pool)
+        return _impact_assignment(packet, (best,), topology, pool)
 
 
 class ShortestPathDispatcher(Dispatcher):
@@ -197,9 +162,9 @@ class ShortestPathDispatcher(Dispatcher):
         if has_fixed:
             fixed_delay = topology.fixed_link_delay(packet.source, packet.destination)
             if best is None or fixed_delay < topology.path_delay(*best):
-                return _fixed_assignment(packet, topology)
+                return fixed_assignment(packet, topology)
         assert best is not None
-        return _edge_assignment(packet, best[0], best[1], topology, pool)
+        return _impact_assignment(packet, (best,), topology, pool)
 
 
 class DirectFirstDispatcher(Dispatcher):
@@ -223,11 +188,5 @@ class DirectFirstDispatcher(Dispatcher):
         has_fixed = topology.has_fixed_link(packet.source, packet.destination)
         _require_routable(packet, candidates, has_fixed)
         if has_fixed:
-            return _fixed_assignment(packet, topology)
-        best_impact = None
-        for (t, r) in candidates:
-            impact = compute_edge_impact_auto(packet, t, r, topology, pool)
-            if best_impact is None or (impact.total, impact.edge) < (best_impact.total, best_impact.edge):
-                best_impact = impact
-        assert best_impact is not None
-        return _impact_assignment(packet, best_impact, topology)
+            return fixed_assignment(packet, topology)
+        return _impact_assignment(packet, candidates, topology, pool)

@@ -15,8 +15,6 @@ from repro.core.dispatcher import (
     ImpactDispatcher,
     SharedDispatchMemo,
     compute_edge_impact,
-    compute_edge_impact_auto,
-    compute_edge_impact_indexed,
 )
 from repro.core.impact_index import ImpactIndex
 from repro.core.interfaces import Dispatcher, Policy, Scheduler
@@ -57,8 +55,6 @@ __all__ = [
     "SharedDispatchMemo",
     "EdgeImpact",
     "compute_edge_impact",
-    "compute_edge_impact_auto",
-    "compute_edge_impact_indexed",
     "StableMatchingScheduler",
     "OrderedGreedyScheduler",
     "OpportunisticLinkScheduler",

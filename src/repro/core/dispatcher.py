@@ -20,18 +20,21 @@ link exists whose weighted latency ``w_p · d_l(p)`` is no larger, in which
 case the fixed link is used.  The chosen value also becomes the dual variable
 ``α_p`` used throughout the competitive analysis (Section IV-B).
 
-Two evaluation paths compute the same numbers:
+One fold, :func:`_fold_impacts`, is the only place ``Δ_p(e)`` is written.  It
+serves ALG's decision, its decision log, :func:`compute_edge_impact` and the
+baseline dispatchers, and reads the three adjacency statistics
+``(|H_p(e)|, |L_p(e)|, w(L_p(e)))`` from one of two sources:
 
-* the **reference scan** (:func:`compute_edge_impact`) walks
-  ``pool.adjacent_chunks`` per candidate — O(pending chunks) each;
-* the **indexed path** (:func:`compute_edge_impact_indexed`) reads the
-  pool's incremental :class:`~repro.core.impact_index.ImpactIndex` —
-  O(log pending chunks) each.  The dispatcher picks it automatically
-  whenever the pool maintains an index (``engine="indexed"``).
+* the pool's incremental :class:`~repro.core.impact_index.ImpactIndex` when
+  the pool maintains one (``engine="indexed"``) — O(log pending chunks) per
+  candidate;
+* the **reference scan** :func:`_scan_adjacency_stats` otherwise — a walk of
+  ``pool.adjacent_chunks``, O(pending chunks) per candidate, and the oracle
+  the index is tested against.
 
 ``w(L_p(e))`` is canonically defined as the *exact* sum of the lighter
 weights, correctly rounded once (``math.fsum`` in the scan, exact integer
-arithmetic in the index), so both paths produce bit-identical impacts — and
+arithmetic in the index), so both sources give bit-identical impacts — and
 hence bit-identical simulations — on any workload.
 """
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.interfaces import Dispatcher
 from repro.core.packet import (
@@ -51,15 +54,13 @@ from repro.core.packet import (
 )
 from repro.core.queues import PendingChunkPool
 from repro.exceptions import RoutingError, SimulationError
-from repro.network.topology import TwoTierTopology
+from repro.network.topology import Edge, TwoTierTopology
 
 __all__ = [
     "ImpactDispatcher",
     "EdgeImpact",
     "SharedDispatchMemo",
     "compute_edge_impact",
-    "compute_edge_impact_auto",
-    "compute_edge_impact_indexed",
 ]
 
 
@@ -129,30 +130,58 @@ def _scan_adjacency_stats(
     return num_heavier, len(lighter), math.fsum(lighter)
 
 
-def _make_impact(
+def _fold_impacts(
     packet: Packet,
-    transmitter: str,
-    receiver: str,
+    edges: Sequence[Edge],
     topology: TwoTierTopology,
-    d_e: int,
-    num_heavier: int,
-    num_lighter: int,
-    lighter_weight: float,
-) -> EdgeImpact:
-    """Assemble the :class:`EdgeImpact` breakdown from the adjacency statistics."""
-    head = topology.head_delay(transmitter)
-    tail = topology.tail_delay(receiver)
-    self_latency = packet.weight * (head + (d_e + 1) / 2.0 + tail)
-    return EdgeImpact(
-        transmitter=transmitter,
-        receiver=receiver,
-        edge_delay=d_e,
-        self_latency=self_latency,
-        blocked_by_term=packet.weight * num_heavier,
-        blocks_term=d_e * lighter_weight,
-        num_heavier=num_heavier,
-        num_lighter=num_lighter,
-    )
+    pool: PendingChunkPool,
+    sink: Optional[List[EdgeImpact]] = None,
+) -> Tuple[Optional[float], Optional[Edge], int]:
+    """Fold ``Δ_p(e)`` over ``edges`` into its ``(total, edge)`` minimum.
+
+    Returns ``(total, edge, d(e))`` of the minimum, or ``(None, None, 0)``
+    for no edges.  The adjacency statistics come from the pool's impact
+    index when it has one and from the reference scan otherwise (e.g. the
+    duck-typed naive pools of the differential harness).  When ``sink`` is
+    given, every candidate's :class:`EdgeImpact` breakdown is appended to it
+    in evaluation order.
+    """
+    index = getattr(pool, "impact_index", None)
+    weight = packet.weight
+    best_total: Optional[float] = None
+    best_edge: Optional[Edge] = None
+    best_delay = 0
+    for transmitter, receiver in edges:
+        d_e = topology.edge_delay(transmitter, receiver)
+        chunk_weight = weight / d_e
+        if index is not None:
+            num_heavier, num_lighter, lighter_weight = index.query(
+                transmitter, receiver, chunk_weight
+            )
+        else:
+            num_heavier, num_lighter, lighter_weight = _scan_adjacency_stats(
+                pool, transmitter, receiver, chunk_weight
+            )
+        self_latency = weight * (
+            topology.head_delay(transmitter)
+            + (d_e + 1) / 2.0
+            + topology.tail_delay(receiver)
+        )
+        blocked_by = weight * num_heavier
+        blocks = d_e * lighter_weight
+        total = self_latency + blocked_by + blocks
+        if sink is not None:
+            sink.append(
+                EdgeImpact(
+                    transmitter, receiver, d_e, self_latency, blocked_by, blocks,
+                    num_heavier, num_lighter,
+                )
+            )
+        if best_total is None or (total, (transmitter, receiver)) < (best_total, best_edge):
+            best_total = total
+            best_edge = (transmitter, receiver)
+            best_delay = d_e
+    return best_total, best_edge, best_delay
 
 
 def compute_edge_impact(
@@ -166,68 +195,53 @@ def compute_edge_impact(
 
     The pending chunks currently in ``pool`` play the role of the paper's set
     ``B_p`` (chunks of packets that arrived before ``p`` and are still
-    pending); chunks adjacent to the edge form ``A_p(e)``.  This is the
-    O(pending-chunks) reference scan; :func:`compute_edge_impact_indexed`
-    answers the same query from the incremental index.
+    pending); chunks adjacent to the edge form ``A_p(e)``.  Reads the pool's
+    impact index when it has one and the reference scan otherwise; the
+    breakdown is bit-identical either way.
     """
-    d_e = topology.edge_delay(transmitter, receiver)
-    chunk_weight = packet.weight / d_e
-    num_heavier, num_lighter, lighter_weight = _scan_adjacency_stats(
-        pool, transmitter, receiver, chunk_weight
-    )
-    return _make_impact(
-        packet, transmitter, receiver, topology, d_e, num_heavier, num_lighter, lighter_weight
-    )
+    sink: List[EdgeImpact] = []
+    _fold_impacts(packet, ((transmitter, receiver),), topology, pool, sink)
+    return sink[0]
 
 
-def compute_edge_impact_indexed(
+def edge_assignment(
     packet: Packet,
     transmitter: str,
     receiver: str,
+    edge_delay: int,
+    impact: float,
     topology: TwoTierTopology,
-    pool: PendingChunkPool,
-) -> EdgeImpact:
-    """Compute ``Δ_p(e)`` from the pool's incremental impact index.
-
-    Requires a pool constructed with ``impact_index=True`` (or with the index
-    enabled later); produces an :class:`EdgeImpact` bit-identical to
-    :func:`compute_edge_impact` on the same pool state.
-    """
-    index = pool.impact_index
-    if index is None:
-        raise SimulationError(
-            "compute_edge_impact_indexed needs a pool with its impact index "
-            "enabled; construct PendingChunkPool(impact_index=True) or call "
-            "enable_impact_index()"
-        )
-    d_e = topology.edge_delay(transmitter, receiver)
-    chunk_weight = packet.weight / d_e
-    num_heavier, num_lighter, lighter_weight = index.query(
-        transmitter, receiver, chunk_weight
+) -> EdgeAssignment:
+    """Assign ``packet`` to an edge: its ``d(e)`` chunks, with ``impact`` recorded."""
+    chunks = split_into_chunks(
+        packet,
+        transmitter,
+        receiver,
+        edge_delay=edge_delay,
+        head_delay=topology.head_delay(transmitter),
+        tail_delay=topology.tail_delay(receiver),
     )
-    return _make_impact(
-        packet, transmitter, receiver, topology, d_e, num_heavier, num_lighter, lighter_weight
+    return EdgeAssignment(
+        packet=packet,
+        transmitter=transmitter,
+        receiver=receiver,
+        edge_delay=edge_delay,
+        impact=impact,
+        chunks=chunks,
     )
 
 
-def compute_edge_impact_auto(
-    packet: Packet,
-    transmitter: str,
-    receiver: str,
-    topology: TwoTierTopology,
-    pool: PendingChunkPool,
-) -> EdgeImpact:
-    """Compute ``Δ_p(e)`` through the fastest path the pool supports.
+def _fixed_latency(packet: Packet, topology: TwoTierTopology) -> Optional[float]:
+    """``w_p · d_l(p)``, or ``None`` when the packet has no fixed link."""
+    if not topology.has_fixed_link(packet.source, packet.destination):
+        return None
+    return packet.weight * topology.fixed_link_delay(packet.source, packet.destination)
 
-    Uses the incremental index when the pool maintains one (the
-    ``engine="indexed"`` lanes) and the reference scan otherwise (reference
-    lanes, duck-typed pools).  Every dispatcher that records or compares
-    impacts should call this instead of hard-wiring the scan, so baseline
-    lanes benefit from the index they already pay to maintain.
-    """
-    if getattr(pool, "impact_index", None) is not None:
-        return compute_edge_impact_indexed(packet, transmitter, receiver, topology, pool)
-    return compute_edge_impact(packet, transmitter, receiver, topology, pool)
+
+def fixed_assignment(packet: Packet, topology: TwoTierTopology) -> FixedLinkAssignment:
+    """Assign ``packet`` to its fixed link; the impact is ``w_p · d_l(p)``."""
+    delay = topology.fixed_link_delay(packet.source, packet.destination)
+    return FixedLinkAssignment(packet=packet, link_delay=delay, impact=packet.weight * delay)
 
 
 #: A dispatch decision reduced to plain data: ``(use_fixed, transmitter,
@@ -329,114 +343,34 @@ class ImpactDispatcher(Dispatcher):
         return None if self.record_decisions else ("impact",)
 
     # ------------------------------------------------------------------ #
-    def evaluate_candidates(
-        self,
-        packet: Packet,
-        topology: TwoTierTopology,
-        pool: PendingChunkPool,
-    ) -> List[EdgeImpact]:
-        """Return the impact breakdown of every candidate edge of ``packet``.
-
-        Uses the pool's incremental index when it maintains one, the
-        reference scan otherwise (e.g. for the duck-typed naive pools of the
-        differential harness); the breakdowns are bit-identical either way.
-        """
-        candidates = topology.candidate_edges(packet.source, packet.destination)
-        return [
-            compute_edge_impact_auto(packet, t, r, topology, pool)
-            for (t, r) in candidates
-        ]
-
-    # ------------------------------------------------------------------ #
     def _decide(
         self,
         packet: Packet,
         topology: TwoTierTopology,
         pool: PendingChunkPool,
+        sink: Optional[List[EdgeImpact]] = None,
     ) -> _Decision:
-        """Fold the dispatch rule into a plain :data:`_Decision` tuple.
+        """The dispatch rule: the impact fold, then the fixed-link test.
 
-        Streams the candidate impacts through a running minimum instead of
-        materialising the full ``List[EdgeImpact]`` (and its per-candidate
-        dataclass objects) — the hot path when ``record_decisions`` is off.
-        The float expressions mirror :func:`compute_edge_impact` term for
-        term, so the folded minimum is bit-identical to the materialised one.
+        ``sink`` collects every candidate's breakdown (the decision log).
         """
-        index = getattr(pool, "impact_index", None)
-        weight = packet.weight
-        best_total: Optional[float] = None
-        best_edge: Optional[Tuple[str, str]] = None
-        best_delay = 0
-        for transmitter, receiver in topology.candidate_edges(
-            packet.source, packet.destination
-        ):
-            d_e = topology.edge_delay(transmitter, receiver)
-            chunk_weight = weight / d_e
-            if index is not None:
-                num_heavier, _, lighter_weight = index.query(
-                    transmitter, receiver, chunk_weight
-                )
-            else:
-                num_heavier, _, lighter_weight = _scan_adjacency_stats(
-                    pool, transmitter, receiver, chunk_weight
-                )
-            self_latency = weight * (
-                topology.head_delay(transmitter)
-                + (d_e + 1) / 2.0
-                + topology.tail_delay(receiver)
-            )
-            total = self_latency + weight * num_heavier + d_e * lighter_weight
-            if (
-                best_total is None
-                or (total, (transmitter, receiver)) < (best_total, best_edge)
-            ):
-                best_total = total
-                best_edge = (transmitter, receiver)
-                best_delay = d_e
-
-        has_fixed = topology.has_fixed_link(packet.source, packet.destination)
-        if best_total is None and not has_fixed:
-            raise RoutingError(
-                f"packet {packet.packet_id} ({packet.source}->{packet.destination}) "
-                "has no reconfigurable edge and no fixed link"
-            )
-        if has_fixed:
-            fixed_latency = weight * topology.fixed_link_delay(
-                packet.source, packet.destination
-            )
-            if best_total is None or fixed_latency <= best_total:
-                return (True, None, None, 0, fixed_latency)
-        assert best_edge is not None and best_total is not None
-        return (False, best_edge[0], best_edge[1], best_delay, best_total)
-
-    def _build_assignment(
-        self, packet: Packet, topology: TwoTierTopology, decision: _Decision
-    ) -> Assignment:
-        """Materialise a decision tuple into a (lane-local) assignment."""
-        use_fixed, transmitter, receiver, edge_delay, impact = decision
-        if use_fixed:
-            return FixedLinkAssignment(
-                packet=packet,
-                link_delay=topology.fixed_link_delay(packet.source, packet.destination),
-                impact=impact,
-            )
-        assert transmitter is not None and receiver is not None
-        chunks = split_into_chunks(
+        best_total, best_edge, best_delay = _fold_impacts(
             packet,
-            transmitter,
-            receiver,
-            edge_delay=edge_delay,
-            head_delay=topology.head_delay(transmitter),
-            tail_delay=topology.tail_delay(receiver),
+            topology.candidate_edges(packet.source, packet.destination),
+            topology,
+            pool,
+            sink,
         )
-        return EdgeAssignment(
-            packet=packet,
-            transmitter=transmitter,
-            receiver=receiver,
-            edge_delay=edge_delay,
-            impact=impact,
-            chunks=chunks,
-        )
+        fixed_latency = _fixed_latency(packet, topology)
+        if fixed_latency is None:
+            if best_edge is None:
+                raise RoutingError(
+                    f"packet {packet.packet_id} ({packet.source}->{packet.destination}) "
+                    "has no reconfigurable edge and no fixed link"
+                )
+        elif best_total is None or fixed_latency <= best_total:
+            return (True, None, None, 0, fixed_latency)
+        return (False, best_edge[0], best_edge[1], best_delay, best_total)
 
     def dispatch(
         self,
@@ -454,7 +388,22 @@ class ImpactDispatcher(Dispatcher):
             fixed link.
         """
         memo = self.shared_memo
-        if memo is not None and not self.record_decisions:
+        if memo is None or self.record_decisions:
+            candidates: Optional[List[EdgeImpact]] = [] if self.record_decisions else None
+            decision = self._decide(packet, topology, pool, candidates)
+            if candidates is not None:
+                self.decision_log.append(
+                    {
+                        "packet_id": packet.packet_id,
+                        "now": now,
+                        "candidates": candidates,
+                        "fixed_latency": _fixed_latency(packet, topology),
+                        "chosen_fixed": decision[0],
+                        "impact": decision[4],
+                        "edge": None if decision[0] else (decision[1], decision[2]),
+                    }
+                )
+        else:
             fingerprint = pool.impact_fingerprint
             decision = memo.lookup(packet.packet_id, fingerprint)
             if decision is None:
@@ -469,54 +418,8 @@ class ImpactDispatcher(Dispatcher):
                         f"this lane's own {expected!r} (fingerprint collision "
                         "or index corruption)"
                     )
-            return self._build_assignment(packet, topology, decision)
 
-        if not self.record_decisions:
-            return self._build_assignment(
-                packet, topology, self._decide(packet, topology, pool)
-            )
-
-        # Recording path: materialise every candidate's breakdown for the log.
-        impacts = self.evaluate_candidates(packet, topology, pool)
-        best: Optional[EdgeImpact] = None
-        for impact in impacts:
-            if best is None or (impact.total, impact.edge) < (best.total, best.edge):
-                best = impact
-
-        has_fixed = topology.has_fixed_link(packet.source, packet.destination)
-        fixed_latency: Optional[float] = None
-        if has_fixed:
-            fixed_latency = packet.weight * topology.fixed_link_delay(
-                packet.source, packet.destination
-            )
-
-        if best is None and not has_fixed:
-            raise RoutingError(
-                f"packet {packet.packet_id} ({packet.source}->{packet.destination}) "
-                "has no reconfigurable edge and no fixed link"
-            )
-
-        use_fixed = False
-        if has_fixed and (best is None or fixed_latency <= best.total):
-            use_fixed = True
-
+        use_fixed, transmitter, receiver, edge_delay, impact = decision
         if use_fixed:
-            assert fixed_latency is not None
-            decision: _Decision = (True, None, None, 0, fixed_latency)
-        else:
-            assert best is not None
-            decision = (False, best.transmitter, best.receiver, best.edge_delay, best.total)
-        assignment = self._build_assignment(packet, topology, decision)
-
-        self.decision_log.append(
-            {
-                "packet_id": packet.packet_id,
-                "now": now,
-                "candidates": impacts,
-                "fixed_latency": fixed_latency,
-                "chosen_fixed": use_fixed,
-                "impact": assignment.impact,
-                "edge": None if use_fixed else assignment.edge,
-            }
-        )
-        return assignment
+            return fixed_assignment(packet, topology)
+        return edge_assignment(packet, transmitter, receiver, edge_delay, impact, topology)

@@ -27,7 +27,7 @@ The index therefore keeps weights as *exact scaled integers* (every finite
 double is ``m · 2^-k``), sums them in integer arithmetic, and converts the
 total back with one correctly-rounded division.  The result equals
 ``math.fsum`` over the same weights — the canonical definition the reference
-scan in :func:`repro.core.dispatcher.compute_edge_impact` uses — bit for bit,
+scan ``repro.core.dispatcher._scan_adjacency_stats`` uses — bit for bit,
 regardless of insertion order, deletion history or query interleaving.
 
 One scale serves the whole index: every mantissa is ``weight · 2**scale``

@@ -1040,35 +1040,20 @@ class SimulationEngine:
         topology: TwoTierTopology,
         policy: Optional[Policy] = None,
         config: Optional[EngineConfig] = None,
-        *,
-        speed: Optional[float] = None,
-        record_trace: Optional[bool] = None,
-        max_slots: Optional[int] = None,
-        retention: Optional[str] = None,
-        engine: Optional[str] = None,
+        **overrides: object,
     ) -> None:
         """Create an engine for ``policy`` on ``topology``.
 
         ``policy`` may be ``None`` for an engine used exclusively through
-        :meth:`run_multi` (which takes its policies per call).  ``speed``,
-        ``record_trace``, ``max_slots``, ``retention`` and ``engine`` are
-        keyword shortcuts that override the corresponding
-        :class:`EngineConfig` fields.
+        :meth:`run_multi` (which takes its policies per call).  Keyword
+        ``overrides`` are :class:`EngineConfig` fields applied on top of
+        ``config`` (default: ``EngineConfig()``); an unknown keyword raises
+        :class:`TypeError`.
         """
         topology.freeze()
         self.topology = topology
         self.policy = policy
-        shortcuts = {
-            "speed": speed,
-            "record_trace": record_trace,
-            "max_slots": max_slots,
-            "retention": retention,
-            "engine": engine,
-        }
-        self.config = replace(
-            config or EngineConfig(),
-            **{name: value for name, value in shortcuts.items() if value is not None},
-        )
+        self.config = replace(config or EngineConfig(), **overrides)
         #: The metrics registry every lane of this engine records into: the
         #: configured one, a private one when only ``metrics_path`` is set,
         #: or the shared no-op singleton when observability is off.
@@ -1441,19 +1426,13 @@ def simulate(
     topology: TwoTierTopology,
     policy: Policy,
     packets: Iterable[Packet],
-    speed: float = 1.0,
-    record_trace: bool = False,
-    max_slots: int = 1_000_000,
-    retention: str = "full",
-    trace_path: Optional[str] = None,
-    engine: str = "indexed",
-    obs: Optional[MetricsRegistry] = None,
-    metrics_path: Optional[str] = None,
-    span_stride: int = 0,
-    faults: Optional[FaultSchedule] = None,
-    on_fail: str = "requeue",
+    **config: object,
 ) -> SimulationResult:
     """One-call convenience wrapper around :class:`SimulationEngine`.
+
+    Every keyword is an :class:`EngineConfig` field (``speed``,
+    ``max_slots``, ``engine``, ``obs``, ``faults``, …); unset fields keep
+    their defaults and an unknown keyword raises :class:`TypeError`.
 
     Examples
     --------
@@ -1464,46 +1443,22 @@ def simulate(
     >>> res.all_delivered
     True
     """
-    runner = SimulationEngine(
-        topology,
-        policy,
-        EngineConfig(
-            speed=speed,
-            record_trace=record_trace,
-            max_slots=max_slots,
-            retention=retention,
-            trace_path=trace_path,
-            engine=engine,
-            obs=obs,
-            metrics_path=metrics_path,
-            span_stride=span_stride,
-            faults=faults,
-            on_fail=on_fail,
-        ),
-    )
-    return runner.run(packets)
+    return SimulationEngine(topology, policy, EngineConfig(**config)).run(packets)
 
 
 def simulate_multi(
     topology: TwoTierTopology,
     policies: Mapping[str, Policy],
     packets: Iterable[Packet],
-    speed: float = 1.0,
-    max_slots: int = 1_000_000,
-    retention: str = "full",
-    engine: str = "indexed",
-    obs: Optional[MetricsRegistry] = None,
-    metrics_path: Optional[str] = None,
-    span_stride: int = 0,
-    faults: Optional[FaultSchedule] = None,
-    on_fail: str = "requeue",
+    **config: object,
 ) -> Dict[str, SimulationResult]:
     """One-call wrapper around :meth:`SimulationEngine.run_multi`.
 
     Runs every policy in ``policies`` over a single shared arrival stream —
     the workload iterable is consumed exactly once — and returns per-policy
     results (bit-identical to separate :func:`simulate` calls) keyed by the
-    mapping's names.
+    mapping's names.  Every keyword is an :class:`EngineConfig` field, as
+    for :func:`simulate`.
 
     Examples
     --------
@@ -1521,18 +1476,4 @@ def simulate_multi(
     >>> all(res.all_delivered for res in results.values())
     True
     """
-    runner = SimulationEngine(
-        topology,
-        config=EngineConfig(
-            speed=speed,
-            max_slots=max_slots,
-            retention=retention,
-            engine=engine,
-            obs=obs,
-            metrics_path=metrics_path,
-            span_stride=span_stride,
-            faults=faults,
-            on_fail=on_fail,
-        ),
-    )
-    return runner.run_multi(packets, policies)
+    return SimulationEngine(topology, config=EngineConfig(**config)).run_multi(packets, policies)

@@ -13,6 +13,7 @@ from repro.baselines import (
     ShortestPathDispatcher,
 )
 from repro.core import Packet
+from repro.core.dispatcher import compute_edge_impact
 from repro.core.packet import EdgeAssignment, FixedLinkAssignment, split_into_chunks
 from repro.core.queues import PendingChunkPool
 from repro.exceptions import RoutingError
@@ -258,7 +259,7 @@ class TestDirectFirstDispatcher:
 
 
 class TestDirectFirstImpactReuse:
-    """The chosen edge's assignment reuses the impact the candidate loop computed."""
+    """Direct-first's no-fixed-link assignment is the minimum-impact candidate's."""
 
     @staticmethod
     def _chunk_fields(chunks):
@@ -268,9 +269,7 @@ class TestDirectFirstImpactReuse:
         ]
 
     @pytest.mark.parametrize("impact_index", [False, True])
-    def test_one_impact_per_candidate_and_identical_assignment(self, monkeypatch, impact_index):
-        from repro.baselines import dispatchers as module
-
+    def test_one_impact_per_candidate_and_identical_assignment(self, impact_index):
         topo = projector_fabric(num_racks=3, seed=0)
         pool = PendingChunkPool(impact_index=impact_index)
         dispatcher = DirectFirstDispatcher()
@@ -281,26 +280,19 @@ class TestDirectFirstImpactReuse:
             )
             pool.add_all(loaded.chunks)
 
-        calls = []
-        real = module.compute_edge_impact_auto
-
-        def spy(packet, transmitter, receiver, topology, pool_):
-            calls.append((transmitter, receiver))
-            return real(packet, transmitter, receiver, topology, pool_)
-
-        monkeypatch.setattr(module, "compute_edge_impact_auto", spy)
         packet = Packet(99, "rack0:src", "rack1:dst", 2.5, 2)
         assignment = dispatcher.dispatch(packet, topo, pool, 2)
         candidates = topo.candidate_edges("rack0:src", "rack1:dst")
-        assert sorted(calls) == sorted(candidates)
-
-        # The assignment the old code built by recomputing the impact.
-        monkeypatch.setattr(module, "compute_edge_impact_auto", real)
-        impacts = [real(packet, t, r, topo, pool) for t, r in candidates]
+        impacts = [compute_edge_impact(packet, t, r, topo, pool) for t, r in candidates]
+        assert len({impact.total for impact in impacts}) > 1
         best = min(impacts, key=lambda impact: (impact.total, impact.edge))
-        expected = module._edge_assignment(packet, *best.edge, topo, pool)
+        t, r = best.edge
+        expected = split_into_chunks(
+            packet, t, r, edge_delay=best.edge_delay,
+            head_delay=topo.head_delay(t), tail_delay=topo.tail_delay(r),
+        )
         assert isinstance(assignment, EdgeAssignment)
-        assert (assignment.transmitter, assignment.receiver) == best.edge
-        assert assignment.edge_delay == expected.edge_delay
-        assert assignment.impact == expected.impact
-        assert self._chunk_fields(assignment.chunks) == self._chunk_fields(expected.chunks)
+        assert assignment.edge == best.edge
+        assert assignment.edge_delay == best.edge_delay
+        assert assignment.impact == best.total
+        assert self._chunk_fields(assignment.chunks) == self._chunk_fields(expected)

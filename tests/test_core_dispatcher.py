@@ -4,11 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import OpportunisticLinkScheduler
 from repro.core.dispatcher import ImpactDispatcher, compute_edge_impact
 from repro.core.packet import EdgeAssignment, FixedLinkAssignment, Packet
 from repro.core.queues import PendingChunkPool
 from repro.exceptions import RoutingError
-from repro.network import TwoTierTopology, figure1_topology, figure2_topology
+from repro.network import (
+    TwoTierTopology,
+    add_uniform_fixed_links,
+    figure1_topology,
+    figure2_topology,
+    projector_fabric,
+)
+from repro.simulation import simulate
+from repro.workloads import uniform_random_workload, uniform_weights
 
 
 def dispatch(topology, packet, pool=None, now=None):
@@ -190,3 +199,64 @@ class TestDecisionLog:
         dispatcher.dispatch(p, fig1_topology, PendingChunkPool(), 1)
         dispatcher.reset()
         assert dispatcher.decision_log == []
+
+
+class _ScanTwin:
+    """A live pool seen without its impact index, so the impact rule scans it."""
+
+    impact_index = None
+
+    def __init__(self, pool):
+        self.adjacent_chunks = pool.adjacent_chunks
+
+
+class TestRecordingChangesNothing:
+    """The decision log is a sink on the one rule, never a second rule."""
+
+    @pytest.mark.parametrize("engine", ["reference", "indexed"])
+    def test_recorded_run_matches_plain_and_logs_the_rule(self, engine, monkeypatch):
+        topology = add_uniform_fixed_links(
+            projector_fabric(num_racks=5, lasers_per_rack=2, photodetectors_per_rack=2, seed=7),
+            delay=2,
+        )
+        packets = uniform_random_workload(
+            topology, 150, weight_sampler=uniform_weights(1, 10), arrival_rate=3.0, seed=8
+        )
+        plain = simulate(
+            topology, OpportunisticLinkScheduler(), packets, engine=engine, record_trace=True
+        )
+
+        expected = []
+        real_dispatch = ImpactDispatcher.dispatch
+
+        def spy(self, packet, topo, pool, now):
+            twin = _ScanTwin(pool)
+            expected.append([
+                compute_edge_impact(packet, t, r, topo, twin)
+                for t, r in topo.candidate_edges(packet.source, packet.destination)
+            ])
+            return real_dispatch(self, packet, topo, pool, now)
+
+        monkeypatch.setattr(ImpactDispatcher, "dispatch", spy)
+        policy = OpportunisticLinkScheduler(record_decisions=True)
+        recorded = simulate(topology, policy, packets, engine=engine, record_trace=True)
+
+        assert recorded.summary() == plain.summary()
+        assert recorded.trace.slots == plain.trace.slots
+        log = policy.impact_dispatcher.decision_log
+        assert [entry["candidates"] for entry in log] == expected
+        chosen = [entry["chosen_fixed"] for entry in log]
+        assert any(chosen) and not all(chosen)  # both arms of the fixed-link test
+        ties = 0
+        for entry in log:
+            record = recorded.records[entry["packet_id"]]
+            assert entry["impact"] == record.assignment.impact
+            assert entry["chosen_fixed"] == record.used_fixed_link
+            assert entry["fixed_latency"] == record.packet.weight * 2
+            if entry["candidates"]:
+                best = min(entry["candidates"], key=lambda impact: (impact.total, impact.edge))
+                ties += best.total == entry["fixed_latency"]
+                if not entry["chosen_fixed"]:
+                    assert (best.edge, best.total) == (entry["edge"], entry["impact"])
+                    assert entry["impact"] < entry["fixed_latency"]
+        assert ties  # an exact tie, which the fixed link wins

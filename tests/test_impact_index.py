@@ -8,10 +8,10 @@ compute identical floats.  The tests here attack that claim directly:
   ``(num_heavier, num_lighter, lighter_weight)`` against a naive recount at
   every step, across every key the walk has touched;
 * dedicated tie-weight cases pin the ``>=`` (ties count as heavier) rule;
-* pool integration tests check that :func:`compute_edge_impact_indexed`
-  equals :func:`compute_edge_impact` on live pools, that backfilled indexes
-  match incrementally built ones, and that the impact fingerprint is a true
-  multiset invariant.
+* pool integration tests check that :func:`compute_edge_impact` on an
+  indexed pool equals it on an unindexed twin (the reference scan), that
+  backfilled indexes match incrementally built ones, and that the impact
+  fingerprint is a true multiset invariant.
 """
 
 from __future__ import annotations
@@ -19,15 +19,13 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dispatcher import compute_edge_impact, compute_edge_impact_indexed
+from repro.core.dispatcher import compute_edge_impact
 from repro.core.impact_index import ImpactIndex
 from repro.core.packet import Chunk, Packet
 from repro.core.queues import PendingChunkPool
-from repro.exceptions import SimulationError
 from repro.network.builders import single_tier_crossbar
 
 
@@ -223,6 +221,7 @@ def _crossbar_pool_fixture() -> Tuple[PendingChunkPool, List[Chunk]]:
 def test_pool_indexed_impact_equals_reference_scan() -> None:
     topo = single_tier_crossbar(3)
     pool = PendingChunkPool(impact_index=True)
+    twin = PendingChunkPool()  # no index: compute_edge_impact scans it
     packets = [
         Packet(packet_id=i, source=f"s{i % 3}", destination=f"d{(i + 1) % 3}",
                weight=1.0 + 0.7 * i, arrival=1)
@@ -234,19 +233,16 @@ def test_pool_indexed_impact_equals_reference_scan() -> None:
     for packet in packets:
         # Compare every candidate's breakdown before committing the packet.
         for (t, r) in topo.candidate_edges(packet.source, packet.destination):
-            assert compute_edge_impact_indexed(packet, t, r, topo, pool) == \
-                compute_edge_impact(packet, t, r, topo, pool)
+            assert compute_edge_impact(packet, t, r, topo, pool) == \
+                compute_edge_impact(packet, t, r, topo, twin)
         assignment = dispatcher.dispatch(packet, topo, pool, packet.arrival)
+        twin_assignment = dispatcher.dispatch(packet, topo, twin, packet.arrival)
+        assert (twin_assignment.edge, twin_assignment.impact) == \
+            (assignment.edge, assignment.impact)
         if not assignment.uses_fixed_link:
             pool.add_all(assignment.chunks)
-
-
-def test_indexed_impact_requires_enabled_index() -> None:
-    topo = single_tier_crossbar(2)
-    pool = PendingChunkPool()
-    packet = Packet(packet_id=0, source="in1", destination="out1", weight=1.0, arrival=1)
-    with pytest.raises(SimulationError, match="impact index"):
-        compute_edge_impact_indexed(packet, "t:in1", "r:out1", topo, pool)
+            twin.add_all(twin_assignment.chunks)
+    assert pool.impact_index is not None and twin.impact_index is None
 
 
 def test_enable_impact_index_backfills_existing_chunks() -> None:

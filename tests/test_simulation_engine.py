@@ -13,7 +13,7 @@ from repro.exceptions import SchedulingError, SimulationError
 from repro.faults import FaultSchedule
 from repro.network import TwoTierTopology, figure1_topology, single_tier_crossbar
 from repro.obs import MetricsRegistry
-from repro.simulation import EngineConfig, SimulationEngine, simulate
+from repro.simulation import EngineConfig, SimulationEngine, simulate, simulate_multi
 from repro.workloads import figure1_packets, uniform_random_workload
 
 
@@ -266,16 +266,38 @@ class TestEngineConfig:
             assert getattr(engine.config, name) is value, name
 
     def test_each_shortcut_overrides_its_field(self, line_topology, alg_policy):
+        # Every field is a constructor keyword applied over ``config``; the
+        # other fields keep the config's values.
         config = EngineConfig(**self.NON_DEFAULTS)
-        shortcuts = dict(
-            speed=1.5, record_trace=False, max_slots=77, retention="full",
-            engine="indexed",
+        defaults = EngineConfig()
+        for field in dataclasses.fields(EngineConfig):
+            value = getattr(defaults, field.name)
+            engine = SimulationEngine(line_topology, alg_policy, config, **{field.name: value})
+            for other in dataclasses.fields(EngineConfig):
+                expected = value if other.name == field.name else self.NON_DEFAULTS[other.name]
+                assert getattr(engine.config, other.name) == expected, (field.name, other.name)
+
+    def test_simulate_wrappers_forward_every_field(
+        self, monkeypatch, line_topology, alg_policy
+    ):
+        monkeypatch.setattr(SimulationEngine, "run", lambda self, packets: self.config)
+        monkeypatch.setattr(
+            SimulationEngine, "run_multi", lambda self, packets, policies: self.config
         )
-        for name, value in shortcuts.items():
-            engine = SimulationEngine(line_topology, alg_policy, config, **{name: value})
-            for field in dataclasses.fields(EngineConfig):
-                expected = value if field.name == name else self.NON_DEFAULTS[field.name]
-                assert getattr(engine.config, field.name) == expected, (name, field.name)
+        for name, value in self.NON_DEFAULTS.items():
+            expected = EngineConfig(**{name: value})
+            assert simulate(line_topology, alg_policy, [], **{name: value}) == expected
+            assert simulate_multi(
+                line_topology, {"alg": alg_policy}, [], **{name: value}
+            ) == expected, name
+
+    def test_unknown_keyword_raises_type_error(self, line_topology, alg_policy):
+        with pytest.raises(TypeError, match="bogus"):
+            SimulationEngine(line_topology, alg_policy, bogus=1)
+        with pytest.raises(TypeError, match="bogus"):
+            simulate(line_topology, alg_policy, [], bogus=1)
+        with pytest.raises(TypeError, match="bogus"):
+            simulate_multi(line_topology, {"alg": alg_policy}, [], bogus=1)
 
     def test_engine_freezes_topology(self, alg_policy):
         topo = TwoTierTopology()
