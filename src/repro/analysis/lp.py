@@ -42,20 +42,22 @@ Constraints
 * for every slot and transmitter: ``Σ d(e) · x ≤ capacity``;
 * for every slot and receiver: ``Σ d(e) · x ≤ capacity``.
 
-The solver uses :func:`scipy.optimize.linprog` (HiGHS) on sparse matrices.
+The solver uses :func:`scipy.optimize.linprog` (HiGHS) on sparse matrices;
+scipy is imported on first use, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.exceptions import LPError
 from repro.workloads.base import Instance
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["PrimalLP", "LPSolution", "build_primal_lp", "solve_lp_lower_bound"]
 
@@ -129,6 +131,8 @@ def build_primal_lp(
         ``"paper"`` for the verbatim Figure 3 objective, ``"fractional"`` for
         the fractional-latency lower-bound variant (see the module docstring).
     """
+    from scipy import sparse
+
     if not 0 < capacity <= 1:
         raise LPError(f"capacity must lie in (0, 1], got {capacity}")
     if objective not in ("paper", "fractional"):
@@ -260,6 +264,8 @@ def solve_lp_lower_bound(
     LPError
         If the LP cannot be built or the solver does not reach optimality.
     """
+    from scipy.optimize import linprog
+
     lp = build_primal_lp(instance, capacity=capacity, horizon=horizon, objective=objective)
     result = linprog(
         c=lp.objective,

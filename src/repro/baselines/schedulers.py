@@ -19,8 +19,6 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.core.interfaces import Scheduler
 from repro.core.packet import Chunk
 from repro.core.queues import PendingChunkPool
@@ -192,6 +190,8 @@ def _forest_matching(
 
 def _blossom_matching(edge_weight: Dict[Tuple[str, str], float]) -> List[Tuple[str, str]]:
     """The maximum-weight matching by networkx's blossom (any graph, any ties)."""
+    import networkx as nx
+
     graph = nx.Graph()
     for (t, r), weight in edge_weight.items():
         graph.add_edge(("T", t), ("R", r), weight=weight)

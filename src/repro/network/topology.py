@@ -18,17 +18,20 @@ The class :class:`TwoTierTopology` is an immutable-after-``freeze`` container
 with O(1) lookups for the queries the algorithm needs at runtime:
 ``R(t)``, ``T(r)``, the candidate edge set ``E_p`` of a (source, destination)
 pair, the fixed-link delay ``d_l(p)``, and the end-to-end path delay
-``d_hat(e)``.
+``d_hat(e)``.  networkx is imported only by the export helpers
+(:meth:`TwoTierTopology.to_networkx`,
+:meth:`TwoTierTopology.reconfigurable_bipartite_graph`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Tuple
 
 from repro.exceptions import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Edge", "TwoTierTopology", "EdgeView"]
 
@@ -79,8 +82,9 @@ class TwoTierTopology:
 
     Nodes are identified by strings.  The four layers must be disjoint.
     Construction is incremental (``add_source``, ``add_transmitter``, …);
-    calling :meth:`freeze` (or any query method) validates the topology and
-    switches it to read-only mode.
+    :meth:`freeze` validates the topology, indexes every candidate edge set
+    ``E_p`` and switches it to read-only mode.  Query methods answer on an
+    unfrozen topology too, and never freeze it.
 
     Examples
     --------
@@ -113,7 +117,9 @@ class TwoTierTopology:
         self._head_delay: Dict[str, int] = {}  # transmitter -> d(src, t)
         self._tail_delay: Dict[str, int] = {}  # receiver -> d(r, dest)
 
-        self._candidate_cache: Dict[Tuple[str, str], Tuple[Edge, ...]] = {}
+        #: (source, destination) -> E_p, filled by :meth:`freeze` for every
+        #: pair with at least one reconfigurable edge
+        self._candidates: Dict[Tuple[str, str], Tuple[Edge, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # construction
@@ -208,9 +214,22 @@ class TwoTierTopology:
         self._fixed_links[key] = delay
 
     def freeze(self) -> "TwoTierTopology":
-        """Validate the topology and make it read-only.  Returns ``self``."""
+        """Validate the topology, index every ``E_p`` and make it read-only.
+
+        The index is one pass over the reconfigurable edges, grouped by
+        (source, destination) in the order :meth:`candidate_edges` scans an
+        unfrozen topology.  Returns ``self``.
+        """
         if not self._frozen:
             self.validate()
+            receivers = self._receivers
+            for source, transmitters in self._source_transmitters.items():
+                by_destination: Dict[str, List[Edge]] = {}
+                for t in transmitters:
+                    for r in self._receivers_of_transmitter[t]:
+                        by_destination.setdefault(receivers[r], []).append((t, r))
+                for destination, edges in by_destination.items():
+                    self._candidates[(source, destination)] = tuple(edges)
             self._frozen = True
         return self
 
@@ -374,24 +393,25 @@ class TwoTierTopology:
 
         These are all ``(t, r)`` pairs with ``src(t) = source``,
         ``dest(r) = destination`` and an existing reconfigurable edge.
-        The result is cached after the first query for a pair.
+        A frozen topology answers from the index :meth:`freeze` built; an
+        unfrozen one scans the pair's transmitters.  Either way the result
+        is a fresh list the caller may mutate.
         """
+        indexed = self._candidates.get((source, destination))
+        if indexed is not None:
+            return list(indexed)
         if source not in self._sources:
             raise TopologyError(f"unknown source {source!r}")
         if destination not in self._destinations:
             raise TopologyError(f"unknown destination {destination!r}")
-        key = (source, destination)
-        cached = self._candidate_cache.get(key)
-        if cached is None:
-            edges: List[Edge] = []
-            for t in self._source_transmitters[source]:
-                for r in self._receivers_of_transmitter[t]:
-                    if self._receivers[r] == destination:
-                        edges.append((t, r))
-            cached = tuple(edges)
-            if self._frozen:
-                self._candidate_cache[key] = cached
-        return list(cached)
+        if self._frozen:
+            return []
+        return [
+            (t, r)
+            for t in self._source_transmitters[source]
+            for r in self._receivers_of_transmitter[t]
+            if self._receivers[r] == destination
+        ]
 
     def has_fixed_link(self, source: str, destination: str) -> bool:
         """Whether a direct source→destination link exists."""
@@ -406,6 +426,8 @@ class TwoTierTopology:
 
     def can_route(self, source: str, destination: str) -> bool:
         """Whether *any* path (reconfigurable or fixed) exists for the pair."""
+        if (source, destination) in self._candidates:
+            return True
         return bool(self.candidate_edges(source, destination)) or self.has_fixed_link(
             source, destination
         )
@@ -442,6 +464,8 @@ class TwoTierTopology:
         ``attach``, ``reconfigurable``, ``fixed``; edge attribute ``delay``
         carries the delay.
         """
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         for s in self._sources:
             g.add_node(s, layer="source")
@@ -461,6 +485,8 @@ class TwoTierTopology:
 
     def reconfigurable_bipartite_graph(self) -> nx.Graph:
         """Export only the transmitter–receiver bipartite graph (undirected)."""
+        import networkx as nx
+
         g = nx.Graph(name=f"{self.name}-reconfigurable")
         g.add_nodes_from(self._transmitters, bipartite=0)
         g.add_nodes_from(self._receivers, bipartite=1)

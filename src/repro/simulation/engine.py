@@ -37,7 +37,6 @@ times while producing per-policy results bit-identical to ``P`` separate
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union

@@ -17,7 +17,7 @@ compute identical floats.  The tests here attack that claim directly:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
