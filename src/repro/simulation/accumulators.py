@@ -4,18 +4,18 @@ The paper's objective — total weighted fractional latency — is a pure sum
 over transmissions, so none of the summary numbers reported by
 :meth:`~repro.simulation.results.SimulationResult.summary` actually require
 the per-packet records to be held in memory.  This module provides the
-running aggregates the engine maintains in ``retention="aggregate"`` mode:
+running aggregates the engine maintains under every retention, and from
+which every summary number is read:
 
 * :class:`CompensatedSum` — a Neumaier-compensated running float sum, so
   million-packet totals do not drift the way a naive ``+=`` loop does;
-* :class:`OnlineSummary` — the counters and compensated totals needed to
-  reproduce every ``summary()`` number bit-identically to the in-memory path.
+* :class:`OnlineSummary` — the counters and compensated totals behind
+  every ``summary()`` number.
 
-Bit-identity between the two retention modes relies on two invariants the
-engine maintains: per-packet weighted latency is accumulated with the exact
-same sequence of float additions in both modes, and per-packet final values
-enter the compensated totals in dispatch order (the engine defers
-out-of-order completions until all earlier-dispatched packets are final).
+Per-packet final values enter the compensated totals in dispatch order (the
+engine defers out-of-order completions until all earlier-dispatched packets
+are final), so the totals do not depend on completion order and equal a
+compensated sum over the full-retention records in record order.
 """
 
 from __future__ import annotations
@@ -52,12 +52,13 @@ class CompensatedSum:
     def add(self, value: float) -> None:
         """Add ``value`` to the running sum."""
         value = float(value)
-        total = self._total + value
-        if abs(self._total) >= abs(value):
-            self._compensation += (self._total - total) + value
+        total = self._total
+        new_total = total + value
+        if abs(total) >= abs(value):
+            self._compensation += (total - new_total) + value
         else:
-            self._compensation += (value - total) + self._total
-        self._total = total
+            self._compensation += (value - new_total) + total
+        self._total = new_total
 
     @property
     def value(self) -> float:
@@ -80,7 +81,7 @@ def compensated_total(values: Iterable[float]) -> float:
 
 
 class OnlineSummary:
-    """Running aggregates of a simulation run (the ``retention="aggregate"`` state).
+    """Running aggregates of a simulation run, under every retention.
 
     The engine feeds three event streams into this object:
 
@@ -88,19 +89,19 @@ class OnlineSummary:
     * :meth:`add_completion` — once per packet, *in dispatch order* (the
       engine buffers out-of-order completions), with the packet's final
       weighted latency and flow completion time;
-    * :meth:`add_matchings` — per simulated (or skipped) slot batch, with the
-      per-slot matching sizes folded into counters.
+    * the ``matching_*`` counters — per non-empty slot matching, its size
+      folded into a total, a maximum and a count of non-empty slots (the
+      slot count is the result's ``num_slots``).
 
-    Every quantity exposed here matches the corresponding
-    :class:`~repro.simulation.results.SimulationResult` computation on the
-    full in-memory records bit-for-bit.
+    It also counts packets that completed (``num_delivered``) and packets
+    abandoned by ``on_fail="drop"`` (``num_dropped``).
     """
 
     __slots__ = (
         "num_packets",
         "num_delivered",
+        "num_dropped",
         "num_fixed_link",
-        "matching_slots",
         "matching_total",
         "matching_max",
         "matching_nonempty",
@@ -112,8 +113,8 @@ class OnlineSummary:
     def __init__(self) -> None:
         self.num_packets = 0
         self.num_delivered = 0
+        self.num_dropped = 0
         self.num_fixed_link = 0
-        self.matching_slots = 0
         self.matching_total = 0
         self.matching_max = 0
         self.matching_nonempty = 0
@@ -131,26 +132,14 @@ class OnlineSummary:
             self.num_fixed_link += 1
         self._alpha.add(alpha)
 
-    def count_delivered(self) -> None:
-        """Record that one packet fully reached its destination."""
-        self.num_delivered += 1
-
     def add_completion(self, weighted_latency: float, flow_completion_time: float) -> None:
         """Fold one packet's final per-packet metrics into the totals.
 
-        Must be called in dispatch order for bit-identity with the in-memory
-        path (the engine guarantees this).
+        Called in dispatch order (the engine guarantees this), so the totals
+        do not depend on the order in which packets complete.
         """
         self._weighted_latency.add(weighted_latency)
         self._completion_time.add(flow_completion_time)
-
-    def add_matchings(self, count: int, total: int, largest: int, nonempty: int) -> None:
-        """Fold ``count`` per-slot matching sizes summing to ``total`` into the counters."""
-        self.matching_slots += count
-        self.matching_total += total
-        self.matching_nonempty += nonempty
-        if largest > self.matching_max:
-            self.matching_max = largest
 
     # ------------------------------------------------------------------ #
     # aggregate accessors
@@ -174,13 +163,3 @@ class OnlineSummary:
     def total_completion_time(self) -> float:
         """Sum of per-packet (unweighted) flow completion times."""
         return self._completion_time.value
-
-    @property
-    def mean_matching_size(self) -> float:
-        """Average per-slot matching size."""
-        return self.matching_total / self.matching_slots if self.matching_slots else 0.0
-
-    @property
-    def fixed_link_fraction(self) -> float:
-        """Fraction of packets routed over the fixed network."""
-        return self.num_fixed_link / self.num_packets if self.num_packets else 0.0

@@ -19,27 +19,33 @@ The engine implements the execution model of Section II:
 The engine is policy-agnostic: the paper's algorithm and every baseline run
 through the same code path, which keeps comparisons fair.
 
-Arrivals are *pulled* from the input on demand, one arrival batch per slot,
-so the engine composes with the lazy workload generators in
-:mod:`repro.workloads`: with ``retention="aggregate"`` a million-packet
-stream is simulated in O(active chunks) memory, while ``retention="full"``
-(the default) materialises the input and keeps a per-packet record exactly
-as before.  Both retentions produce bit-identical ``summary()`` numbers.
+Every run goes through one lane path.  Arrivals are *pulled* on demand,
+one ``(slot, batch)`` pair per slot, from a single shared arrival buffer
+that every lane reads through its own cursor, so the engine composes with
+the lazy workload generators in :mod:`repro.workloads`.  Each lane's one
+recorder feeds an :class:`~repro.simulation.accumulators.OnlineSummary`,
+the source of every summary number.  ``retention="full"`` (the default)
+materialises and validates the input up front and additionally keeps the
+per-packet records and per-slot matching sizes; ``retention="aggregate"``
+validates the stream as it is pulled and keeps nothing per packet, so a
+million-packet stream is simulated in O(active chunks) memory.  Both
+retentions produce bit-identical ``summary()`` numbers.
 
 The run loop itself lives in :class:`_PolicyLane` — one policy's pool,
-recorder and slot cursor, advanced one slot per ``step()`` call.  ``run()``
-drives a single lane to completion; :meth:`SimulationEngine.run_multi`
-drives one lane per policy round-robin over a shared arrival buffer, so a
-``P``-policy comparison consumes the workload stream once instead of ``P``
-times while producing per-policy results bit-identical to ``P`` separate
-``run()`` calls.
+recorder and slot cursor, advanced one slot per ``step()`` call.
+:meth:`SimulationEngine.run_multi` drives one lane per policy round-robin
+over the shared buffer, so a ``P``-policy comparison consumes the workload
+stream once instead of ``P`` times while producing per-policy results
+bit-identical to ``P`` separate runs; ``run()`` is the one-policy case.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import groupby
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.interfaces import Policy
 from repro.core.packet import Chunk, EdgeAssignment, FixedLinkAssignment, Packet
@@ -110,9 +116,12 @@ class EngineConfig:
         when no chunk is eligible, which holds for every scheduler in this
         repository.
     retention:
-        ``"full"`` (default) keeps a per-packet :class:`PacketRecord` and the
-        per-slot ``matching_sizes`` list; ``"aggregate"`` consumes the input
-        as a stream and keeps only online summary accumulators, so memory is
+        Every run feeds the online summary accumulators that all summary
+        numbers are read from.  ``"full"`` (default) is those accumulators
+        plus a per-packet :class:`PacketRecord` and the per-slot
+        ``matching_sizes`` list; it validates the whole input up front and
+        dispatches it stably sorted by arrival.  ``"aggregate"`` consumes
+        the input as a stream and keeps only the accumulators, so memory is
         bounded by the number of *in-flight* chunks rather than the number of
         packets.  Aggregate mode requires the input stream to yield packets
         with non-decreasing arrival slots and strictly increasing packet ids
@@ -227,317 +236,229 @@ class EngineConfig:
 
 
 # ---------------------------------------------------------------------- #
-# arrival sources: pull the next arrival batch on demand
+# arrivals: one shared buffer of (slot, batch) pairs, one cursor per lane
 # ---------------------------------------------------------------------- #
-class _BufferedArrivals:
-    """Arrival source over a materialised packet list (retention="full").
+_ARRIVAL = attrgetter("arrival")
 
-    Reproduces the historical semantics exactly: packets may appear in any
-    order, are bucketed by arrival slot up front, and are dispatched in input
-    order within each slot.
+
+def _validated_stream(packets: Iterable[Packet], topology: TwoTierTopology) -> Iterator[Packet]:
+    """Yield ``packets`` lazily, checking each one as it is pulled.
+
+    The cheap streaming substitute for the global duplicate-id check of
+    full retention: arrivals must be non-decreasing and packet ids strictly
+    increasing, and every packet must be routable on the topology.
     """
-
-    def __init__(self, packets: Sequence[Packet]) -> None:
-        self._by_slot: Dict[int, List[Packet]] = {}
-        for packet in packets:
-            self._by_slot.setdefault(packet.arrival, []).append(packet)
-        self._slots = sorted(self._by_slot)
-        self._next = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= len(self._slots)
-
-    def next_slot(self) -> Optional[int]:
-        if self.exhausted:
-            return None
-        return self._slots[self._next]
-
-    def pop(self, slot: int) -> List[Packet]:
-        if self.next_slot() != slot:
-            return []
-        self._next += 1
-        return self._by_slot.pop(slot)
-
-
-class _StreamedArrivals:
-    """Arrival source that pulls packets lazily from an iterator.
-
-    Keeps a single packet of lookahead, so memory is O(1) in the stream
-    length.  Validates, while pulling, that arrivals are non-decreasing and
-    packet ids strictly increasing — the cheap streaming substitute for the
-    global duplicate-id check of the materialised path — and that every
-    packet is routable on the topology.
-    """
-
-    def __init__(self, packets: Iterable[Packet], topology: TwoTierTopology) -> None:
-        self._iter: Iterator[Packet] = iter(packets)
-        self._topology = topology
-        self._lookahead: Optional[Packet] = None
-        self._last_id = -1
-        self._last_slot = 0
-        self._advance()
-
-    def _advance(self) -> None:
-        packet = next(self._iter, None)
-        if packet is not None:
-            if packet.packet_id <= self._last_id:
-                raise SimulationError(
-                    f"streamed packet ids must be strictly increasing; got id "
-                    f"{packet.packet_id} after id {self._last_id}"
-                )
-            if packet.arrival < self._last_slot:
-                raise SimulationError(
-                    f"streamed arrivals must be non-decreasing; packet "
-                    f"{packet.packet_id} arrives at slot {packet.arrival} after "
-                    f"slot {self._last_slot}"
-                )
-            if not self._topology.can_route(packet.source, packet.destination):
-                raise SimulationError(
-                    f"packet {packet.packet_id} ({packet.source}->{packet.destination}) "
-                    "cannot be routed on this topology"
-                )
-            self._last_id = packet.packet_id
-            self._last_slot = packet.arrival
-        self._lookahead = packet
-
-    @property
-    def exhausted(self) -> bool:
-        return self._lookahead is None
-
-    def next_slot(self) -> Optional[int]:
-        if self._lookahead is None:
-            return None
-        return self._lookahead.arrival
-
-    def pop(self, slot: int) -> List[Packet]:
-        batch: List[Packet] = []
-        while self._lookahead is not None and self._lookahead.arrival == slot:
-            batch.append(self._lookahead)
-            self._advance()
-        return batch
-
-
-_ArrivalSource = Union[_BufferedArrivals, _StreamedArrivals]
+    last_id = -1
+    last_slot = 0
+    for packet in packets:
+        if packet.packet_id <= last_id:
+            raise SimulationError(
+                f"streamed packet ids must be strictly increasing; got id "
+                f"{packet.packet_id} after id {last_id}"
+            )
+        if packet.arrival < last_slot:
+            raise SimulationError(
+                f"streamed arrivals must be non-decreasing; packet "
+                f"{packet.packet_id} arrives at slot {packet.arrival} after "
+                f"slot {last_slot}"
+            )
+        if not topology.can_route(packet.source, packet.destination):
+            raise SimulationError(
+                f"packet {packet.packet_id} ({packet.source}->{packet.destination}) "
+                "cannot be routed on this topology"
+            )
+        last_id = packet.packet_id
+        last_slot = packet.arrival
+        yield packet
 
 
 class _SharedArrivalBuffer:
-    """Fan-out wrapper over one arrival source for multi-policy runs.
+    """The one arrival buffer every lane of a run reads.
 
-    ``run_multi`` gives every policy its own :class:`_ArrivalView` cursor over
-    this buffer, so each arrival batch is pulled from the underlying source
-    (and, in aggregate mode, generated by the workload iterator) exactly once
-    no matter how many policies consume it.  Batches are dropped as soon as
-    every view has moved past them, so the window held in memory is bounded by
-    how far the fastest lane runs ahead of the slowest one — not by the
-    stream length.
+    Pulls ``(slot, batch)`` pairs from a single generator on demand, so each
+    arrival batch is pulled (and, in aggregate mode, generated by the
+    workload iterator and validated) exactly once no matter how many lanes
+    consume it.  Each lane reads through its own :class:`_ArrivalView`.
+    Whenever a new batch is pulled, the batches every view has moved past
+    are dropped, so the window held in memory is bounded by how far the
+    fastest lane runs ahead of the slowest one — not by the stream length.
     """
 
-    def __init__(self, source: _ArrivalSource) -> None:
-        self._source = source
+    def __init__(self, batches: Iterator[Tuple[int, List[Packet]]]) -> None:
+        self._source = batches
         self._batches: List[Tuple[int, List[Packet]]] = []
         self._offset = 0  # absolute index of self._batches[0]
+        self._views: List[_ArrivalView] = []
 
     def view(self) -> "_ArrivalView":
         """A new independent cursor starting at the first arrival batch."""
-        return _ArrivalView(self)
+        view = _ArrivalView(self)
+        self._views.append(view)
+        return view
 
     def batch_at(self, index: int) -> Optional[Tuple[int, List[Packet]]]:
         """The ``(slot, batch)`` pair at absolute position ``index``.
 
-        Pulls further batches from the underlying source on demand; returns
-        ``None`` once the source is exhausted before ``index``.
+        Pulls further batches from the generator on demand; returns ``None``
+        once it is exhausted before ``index``.
         """
         while self._offset + len(self._batches) <= index:
-            slot = self._source.next_slot()
-            if slot is None:
+            item = next(self._source, None)
+            if item is None:
                 return None
-            self._batches.append((slot, self._source.pop(slot)))
+            if self._views:
+                low = min(view.position for view in self._views)
+                if low > self._offset:
+                    del self._batches[: low - self._offset]
+                    self._offset = low
+            self._batches.append(item)
         return self._batches[index - self._offset]
-
-    def release_before(self, index: int) -> None:
-        """Drop buffered batches below absolute position ``index``."""
-        keep_from = index - self._offset
-        if keep_from > 0:
-            del self._batches[:keep_from]
-            self._offset = index
 
 
 class _ArrivalView:
     """One lane's cursor over a :class:`_SharedArrivalBuffer`.
 
-    Implements the same ``exhausted`` / ``next_slot`` / ``pop`` protocol as
-    the arrival sources, so a lane cannot tell whether it reads a private
-    source or a shared buffer.
+    ``head`` is the next unread ``(slot, batch)`` pair, or ``None`` once the
+    stream is exhausted; it is pulled when the view is created and each time
+    a batch is popped.
     """
+
+    __slots__ = ("_buffer", "position", "head")
 
     def __init__(self, buffer: _SharedArrivalBuffer) -> None:
         self._buffer = buffer
         self.position = 0
+        self.head = buffer.batch_at(0)
 
     @property
     def exhausted(self) -> bool:
-        return self._buffer.batch_at(self.position) is None
+        return self.head is None
 
     def next_slot(self) -> Optional[int]:
-        item = self._buffer.batch_at(self.position)
-        return None if item is None else item[0]
+        head = self.head
+        return None if head is None else head[0]
 
     def pop(self, slot: int) -> List[Packet]:
-        item = self._buffer.batch_at(self.position)
-        if item is None or item[0] != slot:
+        """The batch arriving at ``slot`` (empty when none does)."""
+        head = self.head
+        if head is None or head[0] != slot:
             return []
         self.position += 1
-        return item[1]
-
-
-_LaneArrivals = Union[_BufferedArrivals, _StreamedArrivals, _ArrivalView]
+        self.head = self._buffer.batch_at(self.position)
+        return head[1]
 
 
 # ---------------------------------------------------------------------- #
-# per-packet accounting: full records vs online aggregates
+# per-packet accounting: one recorder, one summary source
 # ---------------------------------------------------------------------- #
-class _FullRecorder:
-    """Keeps the historical per-packet :class:`PacketRecord` map."""
+class _Recorder:
+    """Streams per-packet outcomes into an :class:`OnlineSummary`.
 
-    def __init__(self, result: SimulationResult) -> None:
-        self._result = result
-        self._undelivered: Dict[int, int] = {}
-        self._dropped: set[int] = set()
+    Every summary number of a run comes from the summary this recorder
+    feeds.  Under full retention it also keeps the run's
+    :class:`PacketRecord` map (``records``), whose ``weighted_latency`` and
+    ``completion_time`` are set once, when the packet is finalised.
 
-    def on_dispatch(self, packet: Packet, assignment) -> None:
-        if isinstance(assignment, FixedLinkAssignment):
-            record = PacketRecord(
+    Holds one small entry per *in-flight* packet and a buffer of
+    finalised-but-not-yet-folded packets.  Final per-packet values are
+    folded into the compensated totals in dispatch order — deferring
+    out-of-order completions — so the totals do not depend on the order in
+    which packets complete.
+    """
+
+    __slots__ = ("summary", "records", "_active", "_finished", "_next_order", "_next_finalize")
+
+    def __init__(
+        self, summary: OnlineSummary, records: Optional[Dict[int, PacketRecord]]
+    ) -> None:
+        self.summary = summary
+        self.records = records
+        # pid -> [dispatch order, undelivered chunks, weighted latency, max delivery]
+        self._active: Dict[int, list] = {}
+        self._finished: Dict[int, Tuple[float, float]] = {}
+        self._next_order = 0
+        self._next_finalize = 0
+
+    def on_fixed_link(self, packet: Packet, assignment: FixedLinkAssignment) -> None:
+        """A packet sent over its fixed link: final at dispatch."""
+        order = self._next_order
+        self._next_order = order + 1
+        summary = self.summary
+        summary.add_dispatch(assignment.impact, True)
+        summary.num_delivered += 1
+        if self.records is not None:
+            self.records[packet.packet_id] = PacketRecord(
                 packet=packet,
                 assignment=assignment,
                 completion_time=assignment.completion_time,
                 weighted_latency=assignment.weighted_latency,
             )
-        else:
-            record = PacketRecord(packet=packet, assignment=assignment)
-            self._undelivered[packet.packet_id] = len(assignment.chunks)
-        self._result.records[packet.packet_id] = record
+        self._finish(
+            order, assignment.weighted_latency, assignment.completion_time - packet.arrival
+        )
 
-    def add_latency(self, packet: Packet, contribution: float) -> None:
-        self._result.records[packet.packet_id].weighted_latency += contribution
-
-    def on_chunk_completed(self, chunk: Chunk) -> None:
-        pid = chunk.packet.packet_id
-        self._undelivered[pid] -= 1
-        if self._undelivered[pid] == 0 and pid not in self._dropped:
-            record = self._result.records[pid]
-            record.completion_time = max(
-                (c.delivery_time or 0.0) for c in record.assignment.chunks
-            )
-
-    def on_chunk_dropped(self, chunk: Chunk) -> None:
-        """A stranded chunk was abandoned (``on_fail="drop"``).
-
-        The packet keeps its accrued fractional latency but its
-        ``completion_time`` stays ``None`` forever — it is neither in flight
-        nor delivered.
-        """
-        pid = chunk.packet.packet_id
-        self._dropped.add(pid)
-        self._undelivered[pid] -= 1
-
-    def note_matchings(self, count: int, total: int, largest: int, nonempty: int) -> None:
-        pass  # matching_sizes list is appended by the engine loop itself
-
-    def in_flight_packets(self) -> int:
-        """Packets dispatched to an edge but not yet fully delivered."""
-        return sum(1 for remaining in self._undelivered.values() if remaining > 0)
-
-    def dropped_packets(self) -> int:
-        """Packets that lost at least one chunk to ``on_fail="drop"``."""
-        return len(self._dropped)
-
-
-class _AggregateRecorder:
-    """Streams per-packet outcomes into an :class:`OnlineSummary`.
-
-    Holds one small entry per *in-flight* packet and a buffer of
-    completed-but-not-yet-finalised packets.  Final per-packet values are
-    folded into the compensated totals in dispatch order — deferring
-    out-of-order completions — so the totals are bit-identical to summing
-    the full records in record order.
-    """
-
-    __slots__ = ("summary", "_active", "_finished", "_next_order", "_next_finalize", "_dropped")
-
-    def __init__(self, summary: OnlineSummary) -> None:
-        self.summary = summary
-        # pid -> [dispatch order, undelivered chunks, weighted latency, max delivery]
-        self._active: Dict[int, List[float]] = {}
-        self._finished: Dict[int, Tuple[float, float]] = {}
-        self._next_order = 0
-        self._next_finalize = 0
-        self._dropped: set[int] = set()
-
-    def on_dispatch(self, packet: Packet, assignment) -> None:
+    def on_edge(self, packet: Packet, assignment: EdgeAssignment) -> None:
+        """A packet split into chunks on a reconfigurable edge."""
         order = self._next_order
-        self._next_order += 1
-        self.summary.add_dispatch(assignment.impact, assignment.uses_fixed_link)
-        if isinstance(assignment, FixedLinkAssignment):
-            self.summary.count_delivered()
-            self._finish(
-                order,
-                assignment.weighted_latency,
-                assignment.completion_time - packet.arrival,
-            )
-        else:
-            self._active[packet.packet_id] = [order, len(assignment.chunks), 0.0, 0.0]
+        self._next_order = order + 1
+        self.summary.add_dispatch(assignment.impact, False)
+        if self.records is not None:
+            self.records[packet.packet_id] = PacketRecord(packet=packet, assignment=assignment)
+        self._active[packet.packet_id] = [order, len(assignment.chunks), 0.0, 0.0]
 
-    def add_latency(self, packet: Packet, contribution: float) -> None:
-        self._active[packet.packet_id][2] += contribution
-
-    def on_chunk_completed(self, chunk: Chunk) -> None:
+    def on_transmit(self, chunk: Chunk, latency: float, completed: bool) -> None:
+        """``chunk`` moved ``latency`` worth of its packet; ``completed`` if it is done."""
         pid = chunk.packet.packet_id
         entry = self._active[pid]
+        entry[2] += latency
+        if not completed:
+            return
         entry[1] -= 1
         if chunk.delivery_time > entry[3]:
             entry[3] = chunk.delivery_time
         if entry[1] == 0:
             del self._active[pid]
-            self.summary.count_delivered()
-            self._finish(int(entry[0]), entry[2], entry[3] - chunk.packet.arrival)
-
-    def _finish(self, order: int, weighted_latency: float, completion: float) -> None:
-        self._finished[order] = (weighted_latency, completion)
-        while self._next_finalize in self._finished:
-            latency, flow_time = self._finished.pop(self._next_finalize)
-            self.summary.add_completion(latency, flow_time)
-            self._next_finalize += 1
+            self.summary.num_delivered += 1
+            if self.records is not None:
+                record = self.records[pid]
+                record.weighted_latency = entry[2]
+                record.completion_time = entry[3]
+            self._finish(entry[0], entry[2], entry[3] - chunk.packet.arrival)
 
     def on_chunk_dropped(self, chunk: Chunk) -> None:
         """A stranded chunk was abandoned (``on_fail="drop"``).
 
-        The packet is finalised with its accrued fractional latency — added
-        to the compensated totals at its dispatch-order turn, exactly like
-        the full-retention sum over records — but never counted delivered.
-        The 0.0 flow-completion term is a bitwise no-op on the accumulator.
+        A drop takes every pending chunk of the edge, hence all of the
+        packet's undelivered chunks at once.  The packet is finalised with
+        its accrued fractional latency and counted dropped, never
+        delivered; its ``completion_time`` stays ``None``.
         """
         pid = chunk.packet.packet_id
-        self._dropped.add(pid)
         entry = self._active[pid]
         entry[1] -= 1
         if entry[1] == 0:
             del self._active[pid]
-            self._finish(int(entry[0]), entry[2], 0.0)
+            self.summary.num_dropped += 1
+            if self.records is not None:
+                self.records[pid].weighted_latency = entry[2]
+            self._finish(entry[0], entry[2], 0.0)
 
-    def note_matchings(self, count: int, total: int, largest: int, nonempty: int) -> None:
-        self.summary.add_matchings(count, total, largest, nonempty)
+    def _finish(self, order: int, weighted_latency: float, completion: float) -> None:
+        if order != self._next_finalize:
+            self._finished[order] = (weighted_latency, completion)
+            return
+        add = self.summary.add_completion
+        add(weighted_latency, completion)
+        order += 1
+        finished = self._finished
+        while order in finished:
+            add(*finished.pop(order))
+            order += 1
+        self._next_finalize = order
 
     def in_flight_packets(self) -> int:
-        """Packets dispatched to an edge but not yet fully delivered."""
+        """Packets dispatched to an edge but not yet delivered or dropped."""
         return len(self._active)
-
-    def dropped_packets(self) -> int:
-        """Packets that lost at least one chunk to ``on_fail="drop"``."""
-        return len(self._dropped)
-
-
-_Recorder = Union[_FullRecorder, _AggregateRecorder]
 
 
 class _LaneFaults:
@@ -586,14 +507,12 @@ class _LaneFaults:
 class _PolicyLane:
     """One policy's complete simulation state, advanced one iteration at a time.
 
-    A lane owns everything :meth:`SimulationEngine.run` used to keep as loop
-    locals — the pending-chunk pool, the recorder, the result under
-    construction and the slot cursor — so several lanes can share one engine
-    (topology + config) and one arrival stream while remaining fully
-    independent.  ``step()`` executes exactly one iteration of the historical
-    run loop (dispatch this slot's arrivals, transmit one matching, then
-    possibly jump over empty slots), so a lane driven to completion is
-    bit-identical to the old single-policy loop.
+    A lane owns the pending-chunk pool, the recorder, the result under
+    construction and the slot cursor, so several lanes can share one engine
+    (topology + config) and one arrival buffer while remaining fully
+    independent.  ``step()`` executes one iteration of the run loop
+    (dispatch this slot's arrivals, transmit one matching, then possibly
+    jump over empty slots).
     """
 
     __slots__ = (
@@ -606,7 +525,8 @@ class _PolicyLane:
         "pool",
         "slot",
         "_slots_simulated",
-        "_aggregate",
+        "_summary",
+        "_sizes",
         "_want_events",
         "_obs_on",
         "_stride",
@@ -628,7 +548,7 @@ class _PolicyLane:
         self,
         engine: "SimulationEngine",
         policy: Policy,
-        arrivals: _LaneArrivals,
+        arrivals: _ArrivalView,
         recorder: _Recorder,
         result: SimulationResult,
         writer: Optional[SlotTraceWriter],
@@ -657,7 +577,9 @@ class _PolicyLane:
         )
         self._topology = self._faults.view if self._faults is not None else engine.topology
         self._slots_simulated = 0
-        self._aggregate = engine.config.retention == "aggregate"
+        self._summary = result.aggregates
+        # Full retention also keeps the per-slot list of matching sizes.
+        self._sizes = None if result.is_aggregate else result.matching_sizes
         self._want_events = engine.config.record_trace or writer is not None
         # Observability: plain-int lane counters folded into the engine's
         # registry by publish_metrics() at run end.  With the registry
@@ -691,28 +613,29 @@ class _PolicyLane:
     @property
     def done(self) -> bool:
         """Whether the lane has dispatched and delivered everything."""
-        if not self.arrivals.exhausted or len(self.pool) != 0:
+        if self.arrivals.head is not None or len(self.pool) != 0:
             return False
         return self._faults is None or not self._faults.held
 
-    def _budget_check(self) -> None:
-        if self._slots_simulated > self.engine.config.max_slots:
-            raise SimulationError(
-                f"simulation exceeded max_slots={self.engine.config.max_slots} "
-                f"(policy {self.policy.name!r}, arrivals exhausted: "
-                f"{self.arrivals.exhausted}, {len(self.pool)} chunks "
-                f"/ {self.pool.total_pending_work():.6g} chunk-units of work pending)"
-            )
+    def _over_budget(self) -> SimulationError:
+        """The error raised once the lane has simulated more than ``max_slots``."""
+        return SimulationError(
+            f"simulation exceeded max_slots={self.engine.config.max_slots} "
+            f"(policy {self.policy.name!r}, arrivals exhausted: "
+            f"{self.arrivals.exhausted}, {len(self.pool)} chunks "
+            f"/ {self.pool.total_pending_work():.6g} chunk-units of work pending)"
+        )
 
-    def step(self) -> None:
-        """Simulate one slot (plus any skipped empty gap) of this lane's run."""
+    def step(self) -> bool:
+        """Simulate one slot (plus any skipped empty gap); ``False`` once the lane is done."""
         engine = self.engine
         config = engine.config
         slot = self.slot
         result = self.result
         pool = self.pool
         self._slots_simulated += 1
-        self._budget_check()
+        if self._slots_simulated > config.max_slots:
+            raise self._over_budget()
         faults = self._faults
         if faults is not None:
             if faults.cursor < len(faults.events) and faults.events[faults.cursor].slot <= slot:
@@ -770,10 +693,14 @@ class _PolicyLane:
         if config.validate_matchings:
             engine._validate_matching(matching, pool, slot)
         size = len(matching)
-        if self._aggregate:
-            self.recorder.note_matchings(1, size, size, 1 if size else 0)
-        else:
-            result.matching_sizes.append(size)
+        if size:
+            summary = self._summary
+            summary.matching_total += size
+            summary.matching_nonempty += 1
+            if size > summary.matching_max:
+                summary.matching_max = size
+        if self._sizes is not None:
+            self._sizes.append(size)
         if slot_trace is not None:
             slot_trace.matching = [chunk.edge for chunk in matching]
         if obs_on:
@@ -796,8 +723,9 @@ class _PolicyLane:
                     budget=speed if rate is None else speed * rate,
                 )
         else:
+            speed = config.speed
             for chunk in matching:
-                engine._transmit_on_edge(chunk, pool, slot, self.recorder, slot_trace)
+                engine._transmit_on_edge(chunk, pool, slot, self.recorder, slot_trace, speed)
         if sampled:
             spans.add("transmit", time.perf_counter() - transmit_start)
         if obs_on:
@@ -843,13 +771,12 @@ class _PolicyLane:
             self._slots_simulated += skipped
             if obs_on:
                 self._m_skipped += skipped
-            self._budget_check()
-            # Keep the per-slot aggregates (and, when tracing, the empty
-            # slot traces) identical to the slot-by-slot walk.
-            if self._aggregate:
-                self.recorder.note_matchings(skipped, 0, 0, 0)
-            else:
-                result.matching_sizes.extend([0] * skipped)
+            if self._slots_simulated > config.max_slots:
+                raise self._over_budget()
+            # Keep the per-slot sizes (and, when tracing, the empty slot
+            # traces) identical to the slot-by-slot walk.
+            if self._sizes is not None:
+                self._sizes.extend([0] * skipped)
             if self._want_events:
                 for empty in range(slot, target):
                     empty_trace = SlotTrace(slot=empty)
@@ -860,6 +787,7 @@ class _PolicyLane:
             result.last_slot = target - 1
             slot = target
         self.slot = slot
+        return not self.done
 
     # ------------------------------------------------------------------ #
     # fault handling (cold path: runs only at scheduled event slots)
@@ -957,25 +885,22 @@ class _PolicyLane:
                 still_held.append(chunk)
         faults.held[:] = still_held
 
-    def publish_metrics(self, label: Optional[str] = None) -> None:
+    def publish_metrics(self, name: str) -> None:
         """Fold this lane's counters into the engine's metrics registry.
 
         Called once at run end (cold path): lane-local plain ints, subsystem
-        counters and sampled span totals become labeled registry series.
-        ``label`` overrides the series' ``policy`` label — ``run_multi``
-        passes its display names so two lanes wrapping the same underlying
-        policy (same ``policy.name``) keep distinct series.
+        counters and sampled span totals become registry series labeled
+        ``policy=name`` — the lane's display name, so two lanes wrapping the
+        same underlying policy (same ``policy.name``) keep distinct series.
         """
         metrics = self.engine.metrics
         if not metrics.enabled:
             return
-        name = self.policy.name if label is None else label
+        dropped = self._summary.num_dropped
         metrics.counter("engine_packets_arrived", policy=name).inc(self._m_arrived)
         metrics.counter("engine_packets_fixed_link", policy=name).inc(self._m_fixed)
         metrics.counter("engine_packets_delivered", policy=name).inc(
-            self._m_arrived
-            - self.recorder.in_flight_packets()
-            - self.recorder.dropped_packets()
+            self._m_arrived - self.recorder.in_flight_packets() - dropped
         )
         metrics.counter("engine_chunks_dispatched", policy=name).inc(
             self._m_chunks_dispatched
@@ -1026,9 +951,7 @@ class _PolicyLane:
             metrics.counter("engine_chunks_redispatched", policy=name).inc(
                 faults.redispatched
             )
-            metrics.counter("engine_packets_dropped", policy=name).inc(
-                self.recorder.dropped_packets()
-            )
+            metrics.counter("engine_packets_dropped", policy=name).inc(dropped)
 
 
 class SimulationEngine:
@@ -1072,9 +995,10 @@ class SimulationEngine:
     def run(self, packets: Iterable[Packet]) -> SimulationResult:
         """Simulate the online arrival and transmission of ``packets``.
 
-        ``packets`` may be any iterable; with ``retention="aggregate"`` it is
-        consumed lazily (one arrival batch pulled per slot) and never
-        materialised.  Returns a
+        A one-policy :meth:`run_multi` under the policy's own name:
+        ``packets`` may be any iterable (with ``retention="aggregate"`` it is
+        consumed lazily, one arrival batch per slot, and never materialised)
+        and metrics are published under ``policy.name``.  Returns a
         :class:`~repro.simulation.results.SimulationResult`; raises
         :class:`~repro.exceptions.SimulationError` if the configured slot
         budget is exhausted before every packet is delivered.
@@ -1084,18 +1008,8 @@ class SimulationEngine:
                 "this engine was created without a policy; use run_multi() or "
                 "pass a policy to the constructor"
             )
-        source = self._make_source(packets)  # validates before any file is touched
-        writer = self._make_writer(source)
-        try:
-            lane = self._make_lane(self.policy, source, writer)
-            while not lane.done:
-                lane.step()
-        finally:
-            if writer is not None:
-                writer.close()
-        lane.publish_metrics()
-        self._write_metrics()
-        return lane.result
+        name = self.policy.name
+        return self._run_lanes(packets, {name: self.policy})[name]
 
     def run_multi(
         self,
@@ -1114,11 +1028,20 @@ class SimulationEngine:
         the same packets.
 
         ``policies`` maps display names to *distinct* policy objects (they
-        are reset before the run, exactly as :meth:`run` does).  Results are
-        returned keyed by the same names, in input order.  ``trace_path``
-        would interleave the slot traces of different policies into one file
-        and is therefore only allowed with a single policy.
+        are reset before the run).  Results are returned keyed by the same
+        names, in input order, and metrics are published under them.
+        ``trace_path`` would interleave the slot traces of different
+        policies into one file and is therefore only allowed with a single
+        policy.
         """
+        return self._run_lanes(packets, policies)
+
+    def _run_lanes(
+        self,
+        packets: Iterable[Packet],
+        policies: Mapping[str, Policy],
+    ) -> Dict[str, SimulationResult]:
+        """The one run loop behind :meth:`run` and :meth:`run_multi`."""
         policies = dict(policies)
         if not policies:
             raise SimulationError("run_multi requires at least one policy")
@@ -1142,12 +1065,12 @@ class SimulationEngine:
                 "dispatcher and scheduler) per name; a shared object was "
                 "passed under several names"
             )
-        source = self._make_source(packets)  # validates before any file is touched
-        writer = self._make_writer(source)
+        # Validates (full retention: the whole input) before any file is touched.
+        buffer = _SharedArrivalBuffer(self._arrival_batches(packets))
+        writer = self._make_writer(buffer)
         shared_dispatchers: List[Policy] = []
         self.last_shared_dispatch_stats = []
         try:
-            buffer = _SharedArrivalBuffer(source)
             lanes = {
                 name: self._make_lane(policy, buffer.view(), writer)
                 for name, policy in policies.items()
@@ -1159,12 +1082,7 @@ class SimulationEngine:
             # between the fastest and the slowest lane.
             active = [lane for lane in lanes.values() if not lane.done]
             while active:
-                for lane in active:
-                    lane.step()
-                active = [lane for lane in active if not lane.done]
-                buffer.release_before(
-                    min(lane.arrivals.position for lane in lanes.values())
-                )
+                active = [lane for lane in active if lane.step()]
             self.last_shared_dispatch_stats = [
                 memo.stats() for memo in {id(m): m for _, m in memos}.values()
             ]
@@ -1174,7 +1092,7 @@ class SimulationEngine:
             for policy in shared_dispatchers:
                 policy.dispatcher.shared_memo = None
         for name, lane in lanes.items():
-            lane.publish_metrics(label=name)
+            lane.publish_metrics(name)
         if self.metrics.enabled:
             for group, stats in enumerate(self.last_shared_dispatch_stats):
                 self.metrics.counter("shared_dispatch_hits", group=group).inc(
@@ -1220,45 +1138,48 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # lane plumbing
     # ------------------------------------------------------------------ #
-    def _make_source(self, packets: Iterable[Packet]) -> _ArrivalSource:
-        """Build the arrival source mandated by the configured retention."""
-        if self.config.retention == "aggregate":
-            return _StreamedArrivals(packets, self.topology)
-        return _BufferedArrivals(self._validate_packets(packets))
+    def _arrival_batches(
+        self, packets: Iterable[Packet]
+    ) -> Iterator[Tuple[int, List[Packet]]]:
+        """The run's ``(slot, batch)`` pairs, as the configured retention reads them.
 
-    def _make_writer(self, source: _ArrivalSource) -> Optional[SlotTraceWriter]:
+        Full retention validates the whole input now (duplicate ids,
+        unroutable packets) and dispatches a stable sort of it by arrival,
+        so packets within a slot keep their input order.  Aggregate
+        retention validates each packet as it is pulled.
+        """
+        if self.config.retention == "aggregate":
+            stream: Iterable[Packet] = _validated_stream(packets, self.topology)
+        else:
+            stream = sorted(self._validate_packets(packets), key=_ARRIVAL)
+        return ((slot, list(batch)) for slot, batch in groupby(stream, key=_ARRIVAL))
+
+    def _make_writer(self, buffer: _SharedArrivalBuffer) -> Optional[SlotTraceWriter]:
         """Open the streamed-trace writer, but only when a run will happen.
 
-        An empty arrival stream writes no trace file at all (the historical
-        behaviour), and because the source is built — and the input
-        validated — first, an invalid input never truncates an existing
-        trace file either.
+        An empty arrival stream writes no trace file at all, and because the
+        first batch is pulled — and the input validated — first, an invalid
+        input never truncates an existing trace file either.
         """
-        if self.config.trace_path is None or source.next_slot() is None:
+        if self.config.trace_path is None or buffer.batch_at(0) is None:
             return None
         return SlotTraceWriter(self.config.trace_path)
 
     def _make_lane(
         self,
         policy: Policy,
-        arrivals: _LaneArrivals,
+        arrivals: _ArrivalView,
         writer: Optional[SlotTraceWriter],
     ) -> _PolicyLane:
         """Create one policy's independent simulation lane."""
-        aggregate = self.config.retention == "aggregate"
         result = SimulationResult(
             policy_name=policy.name,
             topology_name=self.topology.name,
             speed=self.config.speed,
             retention=self.config.retention,
             trace=SimulationTrace() if self.config.record_trace else None,
-            aggregates=OnlineSummary() if aggregate else None,
         )
-        recorder: _Recorder
-        if aggregate:
-            recorder = _AggregateRecorder(result.aggregates)
-        else:
-            recorder = _FullRecorder(result)
+        recorder = _Recorder(result.aggregates, None if result.is_aggregate else result.records)
         policy.reset()
         return _PolicyLane(self, policy, arrivals, recorder, result, writer)
 
@@ -1297,13 +1218,11 @@ class SimulationEngine:
         slot: int,
         recorder: _Recorder,
         slot_trace: Optional[SlotTrace],
-        topology: Optional[object] = None,
+        topology: object,
     ):
-        # Lanes with an active fault schedule pass their FaultTopologyView
-        # here, so the dispatcher only ever sees live candidate edges (and a
-        # dispatcher ignoring the mask is caught by the has_edge check).
-        if topology is None:
-            topology = self.topology
+        # ``topology`` is the lane's: with an active fault schedule it is the
+        # FaultTopologyView, so the dispatcher only ever sees live candidate
+        # edges (and a dispatcher ignoring the mask is caught by has_edge).
         assignment = policy.dispatcher.dispatch(packet, topology, pool, slot)
         if isinstance(assignment, EdgeAssignment):
             if not topology.has_edge(assignment.transmitter, assignment.receiver):
@@ -1311,10 +1230,10 @@ class SimulationEngine:
                     f"dispatcher assigned packet {packet.packet_id} to non-existent edge "
                     f"{assignment.edge}"
                 )
-            recorder.on_dispatch(packet, assignment)
+            recorder.on_edge(packet, assignment)
             pool.add_all(assignment.chunks)
         elif isinstance(assignment, FixedLinkAssignment):
-            recorder.on_dispatch(packet, assignment)
+            recorder.on_fixed_link(packet, assignment)
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unknown assignment type {type(assignment).__name__}")
         if slot_trace is not None:
@@ -1357,19 +1276,16 @@ class SimulationEngine:
         slot: int,
         recorder: _Recorder,
         slot_trace: Optional[SlotTrace],
-        budget: Optional[float] = None,
+        budget: float,
     ) -> None:
-        """Transmit up to ``budget`` (default ``speed``) chunk-units on ``head_chunk``'s edge.
+        """Transmit up to ``budget`` chunk-units on ``head_chunk``'s edge.
 
         The head chunk is served first; any leftover budget spills to the
         edge's other eligible chunks in priority order (see
         :func:`_edge_queue`, which copies the queue only when it is reached).
         """
-        if budget is None:
-            budget = self.config.speed
         if budget <= _WORK_EPSILON:
             return
-        edge = head_chunk.edge
         for chunk in _edge_queue(head_chunk, pool, slot):
             amount = min(budget, chunk.remaining_work)
             if amount <= 0:
@@ -1377,27 +1293,27 @@ class SimulationEngine:
             budget -= amount
             chunk.remaining_work -= amount
             pool.debit_work(amount)
+            delivery_time = slot + 1 + chunk.tail_delay
             completed = chunk.remaining_work <= _WORK_EPSILON
             if completed:
                 chunk.remaining_work = 0.0
                 chunk.completed_slot = slot
-                chunk.delivery_time = slot + 1 + chunk.tail_delay
+                chunk.delivery_time = delivery_time
                 pool.remove(chunk)
 
             packet = chunk.packet
             fraction = amount * chunk.size
-            delivery_time = slot + 1 + chunk.tail_delay
-            recorder.add_latency(
-                packet, fraction * packet.weight * (delivery_time - packet.arrival)
+            recorder.on_transmit(
+                chunk,
+                fraction * packet.weight * (delivery_time - packet.arrival),
+                completed,
             )
-            if completed:
-                recorder.on_chunk_completed(chunk)
             if slot_trace is not None:
                 slot_trace.transmissions.append(
                     TransmissionEvent(
                         packet_id=packet.packet_id,
                         chunk_index=chunk.index,
-                        edge=edge,
+                        edge=head_chunk.edge,
                         amount=amount,
                         completed=completed,
                     )

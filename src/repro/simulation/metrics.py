@@ -82,28 +82,15 @@ def completion_time_statistics(result: SimulationResult) -> LatencyStatistics:
 
 
 def matching_occupancy(result: SimulationResult) -> Dict[str, float]:
-    """Aggregate statistics of the per-slot matching sizes.
-
-    Works in both retention modes: with ``retention="aggregate"`` the numbers
-    come from the engine's online counters instead of the per-slot list.
-    """
-    if result.is_aggregate:
-        agg = result.aggregates
-        if agg is None or not agg.matching_slots:
-            return {"mean": 0.0, "max": 0.0, "nonempty_fraction": 0.0}
-        return {
-            "mean": agg.matching_total / agg.matching_slots,
-            "max": float(agg.matching_max),
-            "nonempty_fraction": agg.matching_nonempty / agg.matching_slots,
-        }
-    sizes = result.matching_sizes
-    if not sizes:
+    """Aggregate statistics of the per-slot matching sizes (either retention)."""
+    agg = result.aggregates
+    slots = result.num_slots
+    if not slots:
         return {"mean": 0.0, "max": 0.0, "nonempty_fraction": 0.0}
-    arr = np.asarray(sizes, dtype=float)
     return {
-        "mean": float(arr.mean()),
-        "max": float(arr.max()),
-        "nonempty_fraction": float((arr > 0).mean()),
+        "mean": agg.matching_total / slots,
+        "max": float(agg.matching_max),
+        "nonempty_fraction": agg.matching_nonempty / slots,
     }
 
 

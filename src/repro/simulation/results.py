@@ -6,12 +6,12 @@ time and its weighted fractional latency, plus per-slot aggregates (matching
 sizes) and an optional full event trace.  The analysis package reconstructs
 the dual ``β`` variables from the chunk objects referenced here.
 
-With ``retention="aggregate"`` the engine keeps none of the per-packet
-records; only the :class:`~repro.simulation.accumulators.OnlineSummary`
-aggregates survive.  Summary-level accessors (``summary()``,
-``total_weighted_latency``, ``all_delivered``, …) work in both modes and
-produce bit-identical numbers; per-packet accessors raise
-:class:`ValueError` in aggregate mode.
+Every summary-level accessor (``summary()``, ``total_weighted_latency``,
+``all_delivered``, …) reads the run's
+:class:`~repro.simulation.accumulators.OnlineSummary`, which the engine
+feeds under both retentions.  With ``retention="aggregate"`` the engine
+keeps none of the per-packet records, and the per-packet accessors raise
+:class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.core.packet import Assignment, Chunk, Packet
-from repro.simulation.accumulators import OnlineSummary, compensated_total
+from repro.simulation.accumulators import OnlineSummary
 from repro.simulation.trace import SimulationTrace
 
 __all__ = ["PacketRecord", "SimulationResult", "RETENTION_MODES"]
@@ -87,10 +87,12 @@ class PacketRecord:
 class SimulationResult:
     """Outcome of one simulation run of a policy on an instance.
 
-    ``retention`` mirrors the engine configuration that produced the result:
-    ``"full"`` keeps a :class:`PacketRecord` per packet in :attr:`records`
-    and the per-slot :attr:`matching_sizes`; ``"aggregate"`` keeps only the
-    :attr:`aggregates` accumulators (O(1) memory in the number of packets).
+    ``retention`` mirrors the engine configuration that produced the result.
+    Both retentions fill the :attr:`aggregates` accumulators, the one source
+    of every summary number; ``"full"`` also keeps a :class:`PacketRecord`
+    per packet in :attr:`records` and the per-slot :attr:`matching_sizes`,
+    while ``"aggregate"`` keeps nothing per packet (O(1) memory in the
+    number of packets).
     """
 
     policy_name: str
@@ -102,7 +104,7 @@ class SimulationResult:
     last_slot: int = 0
     matching_sizes: List[int] = field(default_factory=list)
     trace: Optional[SimulationTrace] = None
-    aggregates: Optional[OnlineSummary] = None
+    aggregates: OnlineSummary = field(default_factory=OnlineSummary)
 
     # ------------------------------------------------------------------ #
     # retention plumbing
@@ -120,12 +122,10 @@ class SimulationResult:
             )
 
     # ------------------------------------------------------------------ #
-    # aggregate accessors
+    # summary accessors (the online aggregates, under both retentions)
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        if self.is_aggregate:
-            return self.aggregates.num_packets if self.aggregates else 0
-        return len(self.records)
+        return self.aggregates.num_packets
 
     def __iter__(self) -> Iterator[PacketRecord]:
         self._require_records("iterating packet records")
@@ -145,40 +145,40 @@ class SimulationResult:
     @property
     def all_delivered(self) -> bool:
         """Whether every packet completed within the simulated horizon."""
-        if self.is_aggregate:
-            return self.aggregates.all_delivered if self.aggregates else True
-        return all(rec.delivered for rec in self.records.values())
+        return self.aggregates.all_delivered
 
     @property
     def total_weighted_latency(self) -> float:
         """The objective value: total weighted fractional latency of the run.
 
-        Summed with Neumaier compensation (in dispatch order) so large-N
-        totals do not drift; bit-identical between retention modes.
+        Summed with Neumaier compensation in dispatch order, so large-N
+        totals do not drift.
         """
-        if self.is_aggregate:
-            return self.aggregates.total_weighted_latency if self.aggregates else 0.0
-        return compensated_total(rec.weighted_latency for rec in self.records.values())
+        return self.aggregates.total_weighted_latency
 
     @property
     def total_alpha(self) -> float:
         """Sum of the dual variables ``α_p`` recorded at dispatch time."""
-        if self.is_aggregate:
-            return self.aggregates.total_alpha if self.aggregates else 0.0
-        return compensated_total(rec.alpha for rec in self.records.values())
+        return self.aggregates.total_alpha
 
     @property
     def total_flow_completion_time(self) -> float:
-        """Sum of per-packet (unweighted) flow completion times."""
-        if self.is_aggregate:
-            return self.aggregates.total_completion_time if self.aggregates else 0.0
-        return compensated_total(
-            self.records[pid].flow_completion_time for pid in sorted(self.records)
-        )
+        """Sum of per-packet (unweighted) flow completion times.
+
+        Raises :class:`ValueError` when ``on_fail="drop"`` dropped packets:
+        a dropped packet never completes, so the sum is undefined.
+        """
+        dropped = self.aggregates.num_dropped
+        if dropped:
+            raise ValueError(
+                f"{dropped} of {len(self)} packets were dropped (on_fail='drop') "
+                "and never completed; flow completion time is undefined"
+            )
+        return self.aggregates.total_completion_time
 
     @property
     def mean_flow_completion_time(self) -> float:
-        """Average (unweighted) flow completion time."""
+        """Average (unweighted) flow completion time (see :attr:`total_flow_completion_time`)."""
         n = len(self)
         return self.total_flow_completion_time / n if n else 0.0
 
@@ -190,9 +190,7 @@ class SimulationResult:
     @property
     def num_fixed_link_packets(self) -> int:
         """Number of packets routed over the fixed network."""
-        if self.is_aggregate:
-            return self.aggregates.num_fixed_link if self.aggregates else 0
-        return sum(1 for rec in self.records.values() if rec.used_fixed_link)
+        return self.aggregates.num_fixed_link
 
     @property
     def fixed_link_fraction(self) -> float:
@@ -205,11 +203,8 @@ class SimulationResult:
     @property
     def mean_matching_size(self) -> float:
         """Average per-slot matching size across the simulated horizon."""
-        if self.is_aggregate:
-            return self.aggregates.mean_matching_size if self.aggregates else 0.0
-        if not self.matching_sizes:
-            return 0.0
-        return sum(self.matching_sizes) / len(self.matching_sizes)
+        slots = self.num_slots
+        return self.aggregates.matching_total / slots if slots else 0.0
 
     def weighted_latencies(self) -> List[float]:
         """Per-packet weighted latencies, in packet-id order."""
@@ -232,8 +227,8 @@ class SimulationResult:
     def summary(self) -> Dict[str, float]:
         """Compact numeric summary used by the experiment harness.
 
-        Identical (bit-for-bit) between ``retention="full"`` and
-        ``retention="aggregate"`` runs of the same instance.
+        Read from the online aggregates, so it is the same (bit-for-bit)
+        under ``retention="full"`` and ``retention="aggregate"``.
         """
         total = self.total_weighted_latency
         n = len(self)

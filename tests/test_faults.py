@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from repro.baselines.policies import all_policies
+from repro.core import OpportunisticLinkScheduler
 from repro.core.packet import Packet
 from repro.exceptions import FaultError, RoutingError, SimulationError
 from repro.faults import (
@@ -16,10 +17,11 @@ from repro.faults import (
     FaultTopologyView,
     seeded_fault_schedule,
 )
-from repro.network.builders import projector_fabric
+from repro.network.builders import figure1_topology, projector_fabric
 from repro.network.topology import TwoTierTopology
 from repro.obs import MetricsRegistry
 from repro.simulation import simulate
+from repro.workloads import figure1_packets
 
 
 def _fault_topology() -> TwoTierTopology:
@@ -211,6 +213,23 @@ class TestEngineDegradation:
         assert faulted.summary()["num_packets"] == 1.0
         # nothing was transmitted before the failure, so no latency accrued
         assert faulted.summary()["total_weighted_latency"] == 0.0
+
+    @pytest.mark.parametrize("retention", ["full", "aggregate"])
+    def test_drop_leaves_flow_time_undefined(self, retention):
+        """Both retentions refuse a flow time once a packet was dropped."""
+        topology = figure1_topology()
+        blackout = FaultSchedule.from_events([
+            FaultEvent(slot=3, action="fail", kind="edge", target=edge)
+            for edge in sorted(topology.reconfigurable_edges)
+        ])
+        result = simulate(topology, OpportunisticLinkScheduler(), figure1_packets(),
+                          faults=blackout, on_fail="drop", retention=retention)
+        assert not result.all_delivered
+        assert result.summary()["total_weighted_latency"] == 5.0
+        with pytest.raises(ValueError, match="1 of 5 packets were dropped"):
+            result.mean_flow_completion_time
+        with pytest.raises(ValueError, match="1 of 5 packets were dropped"):
+            result.total_flow_completion_time
 
     def test_redispatch_moves_to_live_edge(self):
         faulted = simulate(_fault_topology(), _policy(), [_packet()],

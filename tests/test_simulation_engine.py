@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import random
 
 import pytest
 
@@ -10,8 +12,8 @@ from repro.core import OpportunisticLinkScheduler, Packet, Policy, StableMatchin
 from repro.core.dispatcher import ImpactDispatcher
 from repro.core.interfaces import Scheduler
 from repro.exceptions import SchedulingError, SimulationError
-from repro.faults import FaultSchedule
-from repro.network import TwoTierTopology, figure1_topology, single_tier_crossbar
+from repro.faults import FaultEvent, FaultSchedule
+from repro.network import TwoTierTopology, figure1_topology, projector_fabric, single_tier_crossbar
 from repro.obs import MetricsRegistry
 from repro.simulation import EngineConfig, SimulationEngine, simulate, simulate_multi
 from repro.workloads import figure1_packets, uniform_random_workload
@@ -73,6 +75,60 @@ class TestEngineBasics:
         result = simulate(crossbar4, alg_policy, packets)
         assert len(result.matching_sizes) == result.num_slots
         assert max(result.matching_sizes) <= 4
+
+
+class TestFullRetentionInputOrder:
+    """Full retention dispatches a stable sort of its input by arrival slot."""
+
+    @staticmethod
+    def _scrambled():
+        topology = projector_fabric(
+            num_racks=4, lasers_per_rack=2, photodetectors_per_rack=2, seed=3
+        )
+        packets = uniform_random_workload(topology, 40, arrival_rate=4.0, seed=11)
+        rng = random.Random(5)
+        ids = list(range(len(packets)))
+        rng.shuffle(ids)
+        scrambled = [dataclasses.replace(p, packet_id=i) for p, i in zip(packets, ids)]
+        rng.shuffle(scrambled)
+        return topology, scrambled
+
+    @staticmethod
+    def _observed(result):
+        records = [
+            (
+                pid,
+                rec.completion_time,
+                rec.weighted_latency,
+                rec.alpha,
+                rec.used_fixed_link,
+                None if rec.used_fixed_link else rec.assignment.edge,
+            )
+            for pid, rec in result.records.items()
+        ]
+        dispatches = [
+            (slot.slot, [dataclasses.astuple(event) for event in slot.dispatches])
+            for slot in result.trace.slots
+        ]
+        return records, dispatches, result.summary()
+
+    def test_out_of_order_input_equals_its_stable_sort(self):
+        topology, scrambled = self._scrambled()
+        ordered = sorted(scrambled, key=lambda packet: packet.arrival)
+        # The input really is out of order, and ids within a slot are unsorted.
+        assert scrambled != ordered
+        assert any(
+            a.arrival == b.arrival and a.packet_id > b.packet_id
+            for a, b in zip(ordered, ordered[1:])
+        )
+        got = simulate(topology, OpportunisticLinkScheduler(), scrambled, record_trace=True)
+        want = simulate(topology, OpportunisticLinkScheduler(), ordered, record_trace=True)
+        assert self._observed(got) == self._observed(want)
+        # Within a slot, packets are dispatched in input order.
+        for slot in got.trace.slots:
+            assert [event.packet_id for event in slot.dispatches] == [
+                packet.packet_id for packet in scrambled if packet.arrival == slot.slot
+            ]
 
 
 class TestDelaysAndChunking:
@@ -298,6 +354,95 @@ class TestEngineConfig:
             simulate(line_topology, alg_policy, [], bogus=1)
         with pytest.raises(TypeError, match="bogus"):
             simulate_multi(line_topology, {"alg": alg_policy}, [], bogus=1)
+
+    @staticmethod
+    def _outcome(engine, packets, single):
+        """A run's observable outcome: result (or error), metrics and files."""
+        policy = engine.policy
+        try:
+            if single:
+                result = engine.run(packets)
+            else:
+                result = engine.run_multi(packets, {policy.name: policy})[policy.name]
+        except SimulationError as error:
+            return ("error", str(error))
+        records = (
+            None
+            if result.is_aggregate
+            else [
+                (pid, rec.completion_time, rec.weighted_latency, rec.alpha)
+                for pid, rec in result.records.items()
+            ]
+        )
+        trace = (
+            None
+            if result.trace is None
+            else [
+                (slot.slot, slot.arrivals, slot.matching, len(slot.transmissions))
+                for slot in result.trace.slots
+            ]
+        )
+        snapshot = engine.metrics.snapshot()
+        # Phase timings are wall-clock; only which phases were timed is compared.
+        snapshot["gauges"] = {
+            key: None if key.startswith("engine_phase_seconds") else value
+            for key, value in snapshot["gauges"].items()
+        }
+        files = {}
+        for field_name in ("trace_path", "metrics_path"):
+            path = getattr(engine.config, field_name)
+            if path is not None:
+                with open(path, encoding="utf-8") as handle:
+                    files[field_name] = [json.loads(line) for line in handle]
+        if "metrics_path" in files:
+            for line in files["metrics_path"]:
+                line["snapshot"]["gauges"] = snapshot["gauges"]
+        return (
+            result.summary(),
+            result.first_slot,
+            result.last_slot,
+            list(result.matching_sizes),
+            records,
+            trace,
+            snapshot,
+            files,
+        )
+
+    def test_run_equals_one_policy_run_multi(self, tmp_path):
+        """For every field, ``run()`` is a one-policy ``run_multi``.
+
+        Each side runs with a live registry, phase spans on every slot and a
+        metrics file, plus the field at its non-default value; results,
+        metrics snapshots and written files must agree.
+        """
+        topology = projector_fabric(
+            num_racks=4, lasers_per_rack=2, photodetectors_per_rack=2, seed=3
+        )
+        packets = uniform_random_workload(topology, 30, arrival_rate=3.0, seed=7)
+        outage = FaultSchedule.from_events([
+            FaultEvent(slot=3, action="fail", kind="edge", target=edge)
+            for edge in sorted(topology.reconfigurable_edges)[:4]
+        ])
+        cases = dict(self.NON_DEFAULTS, faults=outage)
+        cases = [(name, {name: value}) for name, value in cases.items()]
+        cases.append(("all", dict(self.NON_DEFAULTS, faults=outage)))
+        for label, fields in cases:
+            outcomes = []
+            for side, single in (("run", True), ("multi", False)):
+                config = dict(
+                    obs=MetricsRegistry(),
+                    span_stride=1,
+                    metrics_path=str(tmp_path / f"{label}-{side}-metrics.jsonl"),
+                )
+                config.update(fields)
+                if "obs" in fields:
+                    config["obs"] = MetricsRegistry()
+                for field_name in ("trace_path", "metrics_path"):
+                    if field_name in fields:
+                        config[field_name] = str(tmp_path / f"{label}-{side}-{field_name}")
+                engine = SimulationEngine(topology, OpportunisticLinkScheduler(), **config)
+                outcomes.append(self._outcome(engine, packets, single))
+            assert outcomes[0] == outcomes[1], label
 
     def test_engine_freezes_topology(self, alg_policy):
         topo = TwoTierTopology()
