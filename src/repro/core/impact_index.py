@@ -90,11 +90,6 @@ class WeightStats:
         self._valid = 0
         self._counter = counter
 
-    def _invalidate_from(self, pos: int) -> None:
-        if pos < self._valid:
-            self._valid = pos
-            del self.prefix[pos + 1:]
-
     def insert(self, weight: float, mantissa: int, count: int) -> None:
         """Add ``count`` copies of ``weight``, whose exact mantissa is ``mantissa``.
 
@@ -104,14 +99,18 @@ class WeightStats:
         pos = bisect_left(self.ws, weight)
         self.ws[pos:pos] = [weight] * count
         self.ints[pos:pos] = [mantissa] * count
-        self._invalidate_from(pos)
+        if pos < self._valid:  # the cached prefix sums from ``pos`` on are stale
+            self._valid = pos
+            del self.prefix[pos + 1:]
 
     def remove(self, weight: float) -> None:
         """Remove one occurrence of ``weight`` (which must be present)."""
         pos = bisect_left(self.ws, weight)
         del self.ws[pos]
         del self.ints[pos]
-        self._invalidate_from(pos)
+        if pos < self._valid:
+            self._valid = pos
+            del self.prefix[pos + 1:]
 
     def rescale(self, shift: int) -> None:
         """Multiply every mantissa and cached prefix sum by ``2**shift`` (exact)."""

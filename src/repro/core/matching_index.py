@@ -63,44 +63,49 @@ Two task kinds exist:
   decisions globally priority-ordered even when several ports are repaired
   at once.
 
-One ``eval`` per run
---------------------
+One entry and one ``eval`` per run
+----------------------------------
 A packet dispatched to edge ``e`` becomes ``d(e)`` chunks with the same edge,
 weight and eligibility time, so they activate together as a *run*:
 consecutive entries in the priority order (their keys differ only in the
-chunk index).  Only the run's head gets an ``eval`` task.  Every later chunk
-of the run shares both ports with the head and ranks below it, so when the
-head is evaluated either
+chunk index).  Each port list holds the run as one
+:class:`~repro.core.packet.ChunkRun` entry keyed by its head, the only chunk
+of the run that can be matched, and only the head gets an ``eval`` task.
+Every later chunk of the run shares both ports with the head and ranks
+below it, so when the head is evaluated either
 
 * it wins both ports, and then owns them against the rest of the run, or
 * it is blocked by an owner that outranks it, and therefore outranks the
   whole run.
 
 Either way the rest of the run is unmatched in the greedy pass, exactly as
-their own evals would have found.  Any later release of those ports — the
-head's removal, or the eviction or removal of the blocking owner — pushes a
-scan from the releaser's key, which ranks above the whole run, so that scan
-walks the run.  If the head leaves the pool before its ``eval`` runs, the
-first remaining chunk of the run is decided in its place.
+their own evals would have found.  Any later release of those ports pushes a
+scan from the releaser's key, which ranks above the whole run.  If the head
+leaves before its ``eval`` runs, the run's next chunk is decided in its place.
 
-Chunks are stored per *port*: every transmitter and every receiver keeps
-its eligible chunks as key-sorted ``(priority key, chunk)`` pairs.  The key
-is a total order computed once per chunk (:attr:`Chunk.key
-<repro.core.packet.Chunk>`), so pairs sort and bisect with C-level tuple
-comparisons.  A scan bisects the freed port's list at ``from_key`` and walks
-forward.  When a candidate's other port is owned by a chunk that outranks
-it, that peer port goes into the scan's local ``blocked`` set: the owner
-outranks every later chunk of the same edge too, so the walk skips them
-without looking at their owners again.  Skipping is safe: if that owner is
-later evicted, the eviction itself pushes a scan for the freed peer port,
-which re-covers the skipped chunks.
+When a head that is not its run's last chunk leaves, the entry stays in
+place under the next chunk, which is the next entry on both ports: if the
+head was matched and no task is pending, the run keeps both ports (the
+handover, by construction).  With a task pending the removal rule runs.
+Only a run's last chunk deletes the entry.  A chunk leaving from behind its
+run's head is unmatched; the chunks after it get an entry and an ``eval``.
+
+Runs are stored per *port*: every transmitter and every receiver keeps its
+eligible run entries sorted by key, a total order computed once per chunk
+(:attr:`Chunk.key <repro.core.packet.Chunk>`), so entries bisect with
+C-level tuple comparisons.  A scan bisects the freed port's list at
+``from_key`` and walks forward.  When a candidate's other port is owned by
+a run that outranks it, that peer port goes into the scan's local
+``blocked`` set: the owner outranks every later chunk of the same edge too,
+so the walk skips them without looking at their owners again.  Skipping is
+safe: if that owner is later evicted, the eviction itself pushes a scan for
+the freed peer port, which re-covers the skipped chunks.
 
 The walk stops at the first chunk it can match, so a scan costs one bisect
-plus a short walk instead of one bisect per active edge of the port.  The
-handover settles the shortest walks without a scan: on the perfbench
-workloads it takes 65–89% of the matched removals on the ALG-only cells,
-and a scan task that reads any entry reads 1.4–4.7 on average, the matched
-one included.
+plus a short walk instead of one bisect per active edge of the port.  On
+perfbench's ALG cells, 65% (``dense-d4``) and 68% (``saturated-pairs``) of
+the matched removals leave their run's entry in place with its ports, and
+another 0.4% and 21% hand over to the next run on the same edge.
 
 Amortised cost per slot is O((Δ + cascade) · (log n + walk)) against the
 reference scheduler's Θ(E log E) full pass over all eligible chunks, where
@@ -111,18 +116,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.packet import Chunk
+from repro.core.packet import Chunk, ChunkRun
 from repro.exceptions import SimulationError
-from repro.utils.ordering import chunk_priority_key
 
 __all__ = ["MatchingIndex"]
 
-#: A chunk's total-order priority key paired with the chunk itself.  Keys are
-#: unique, so tuple comparison never falls through to comparing chunks.
+#: A chunk's total-order priority key; keys are unique.
 _Key = Tuple[float, int, int, int]
-_Entry = Tuple[_Key, Chunk]
+_key = attrgetter("key")
 
 #: Task kinds, ordered only for readability — the heap never compares them
 #: (a strictly increasing sequence number sits before the kind in each entry).
@@ -131,26 +135,20 @@ _SCAN_TX = 1
 _SCAN_RX = 2
 
 
-def _insert(lists: Dict[str, List[_Entry]], port: str, entries: List[_Entry]) -> None:
-    """Insert a run's consecutive entries into ``port``'s list with one slice.
-
-    No existing entry lies between the run's first and last keys (those keys
-    belong to the run's own packet, at the run's own indices), so the whole
-    run goes in at its head's bisection point.
-    """
+def _insert(lists: Dict[str, List[ChunkRun]], port: str, run: ChunkRun) -> None:
+    """Insert a run's entry into ``port``'s key-sorted list."""
     existing = lists.get(port)
     if existing is None:
-        lists[port] = list(entries)
+        lists[port] = [run]
     else:
-        pos = bisect_left(existing, (entries[0][0],))
-        existing[pos:pos] = entries
+        existing.insert(bisect_left(existing, run.key, key=_key), run)
 
 
 class MatchingIndex:
     """Maintains the greedy stable matching of an *eligible* chunk set under deltas.
 
     The owning :class:`~repro.core.queues.PendingChunkPool` notifies the index
-    through :meth:`activate` (a chunk became eligible — freshly added or
+    through :meth:`activate` (a run became eligible — freshly added or
     promoted from a future-activation bucket) and :meth:`discard` (an eligible
     chunk left the pool).  Repair work is deferred: events only push tasks
     (a handover needs none and settles at once), and :meth:`current_matching`
@@ -159,12 +157,11 @@ class MatchingIndex:
     """
 
     __slots__ = (
-        "_tx_chunks",
-        "_rx_chunks",
+        "_tx_runs",
+        "_rx_runs",
         "_tx_owner",
         "_rx_owner",
-        "_matched",
-        "_eligible",
+        "_run_of",
         "_tasks",
         "_seq",
         "_tasks_done",
@@ -173,15 +170,16 @@ class MatchingIndex:
     )
 
     def __init__(self) -> None:
-        # Port → its eligible (key, chunk) pairs, kept key-sorted.
-        self._tx_chunks: Dict[str, List[_Entry]] = {}
-        self._rx_chunks: Dict[str, List[_Entry]] = {}
-        # Port → the matched chunk currently owning it (both ports of a
-        # matched chunk are owned by it, and only matched chunks own ports).
-        self._tx_owner: Dict[str, Chunk] = {}
-        self._rx_owner: Dict[str, Chunk] = {}
-        self._matched: Set[Chunk] = set()
-        self._eligible: Set[Chunk] = set()
+        # Port → its eligible run entries, kept key-sorted.
+        self._tx_runs: Dict[str, List[ChunkRun]] = {}
+        self._rx_runs: Dict[str, List[ChunkRun]] = {}
+        # Port → the matched run currently owning it.  A matched run's head
+        # is the matched chunk; it owns both its ports, and only matched
+        # runs own ports, so the transmitter owners are the matching.
+        self._tx_owner: Dict[str, ChunkRun] = {}
+        self._rx_owner: Dict[str, ChunkRun] = {}
+        # Eligible chunk → its run entry.
+        self._run_of: Dict[Chunk, ChunkRun] = {}
         # Pending repair tasks: (priority key, seq, kind, payload).  The seq
         # makes entries unique so kinds/payloads are never compared.
         self._tasks: List[Tuple[_Key, int, int, object]] = []
@@ -199,18 +197,19 @@ class MatchingIndex:
 
         A run is consecutive chunks of one packet on one edge (a single chunk
         is a run of one); the pool activates each packet's chunks as one.
-        Only the head gets an ``eval`` task: see the module docstring.
+        The run takes one entry per port list and one ``eval`` task: see
+        the module docstring.
         """
-        eligible = self._eligible
+        run_of = self._run_of
         for chunk in run:
-            if chunk in eligible:
+            if chunk in run_of:
                 raise SimulationError(f"chunk {chunk!r} is already tracked by the matching index")
-        eligible.update(run)
-        head = run[0]
-        entries = [(chunk.key, chunk) for chunk in run]
-        _insert(self._tx_chunks, head.transmitter, entries)
-        _insert(self._rx_chunks, head.receiver, entries)
-        self._push(head.key, _EVAL, run)
+        entry = ChunkRun(list(run))
+        for chunk in run:
+            run_of[chunk] = entry
+        _insert(self._tx_runs, entry.transmitter, entry)
+        _insert(self._rx_runs, entry.receiver, entry)
+        self._push(entry.key, _EVAL, entry)
 
     def discard(self, chunk: Chunk) -> None:
         """Stop tracking an eligible chunk that left the pool.
@@ -219,34 +218,52 @@ class MatchingIndex:
         removed before its activation time), so the pool can forward every
         removal unconditionally.
         """
-        if chunk not in self._eligible:
+        run = self._run_of.pop(chunk, None)
+        if run is None:
             return
-        self._eligible.remove(chunk)
-        key = chunk.key
-        tx, rx = chunk.transmitter, chunk.receiver
-        # (key,) sorts immediately before (key, chunk); keys are unique.  The
-        # positions are kept: after the deletion they hold the successors.
-        tx_entries = self._tx_chunks[tx]
-        tx_pos = bisect_left(tx_entries, (key,))
-        del tx_entries[tx_pos]
-        if not tx_entries:
-            del self._tx_chunks[tx]
-        rx_entries = self._rx_chunks[rx]
-        rx_pos = bisect_left(rx_entries, (key,))
-        del rx_entries[rx_pos]
-        if not rx_entries:
-            del self._rx_chunks[rx]
-        if chunk not in self._matched:
+        chunks = run.chunks
+        if chunks[0] is not chunk:
+            # Behind the head, so unmatched: nothing changes hands.
+            rest = run.cut(chunk)
+            for later in rest:
+                del self._run_of[later]
+            if rest:
+                self.activate(*rest)
             return
-        self._matched.remove(chunk)
-        if not self._tasks and tx_pos < len(tx_entries) and rx_pos < len(rx_entries):
-            successor = tx_entries[tx_pos][1]
-            if successor is rx_entries[rx_pos][1]:
-                # Handover rule: the next chunk on both ports takes them both.
-                self._tx_owner[tx] = self._rx_owner[rx] = successor
-                self._matched.add(successor)
+        key = run.key
+        del chunks[0]
+        tx, rx = run.transmitter, run.receiver
+        if chunks:
+            # The entry stays in place, headed by the run's next chunk.
+            run.key = chunks[0].key
+            if self._tx_owner.get(tx) is not run:
+                return
+            if not self._tasks:
+                # Handover by construction: the run keeps both ports.
                 self._handovers += 1
                 return
+        else:
+            # The run's last chunk: the entry leaves both port lists.  The
+            # positions are kept: after the deletion they hold the successors.
+            tx_entries = self._tx_runs[tx]
+            tx_pos = bisect_left(tx_entries, key, key=_key)
+            del tx_entries[tx_pos]
+            if not tx_entries:
+                del self._tx_runs[tx]
+            rx_entries = self._rx_runs[rx]
+            rx_pos = bisect_left(rx_entries, key, key=_key)
+            del rx_entries[rx_pos]
+            if not rx_entries:
+                del self._rx_runs[rx]
+            if self._tx_owner.get(tx) is not run:
+                return
+            if not self._tasks and tx_pos < len(tx_entries) and rx_pos < len(rx_entries):
+                successor = tx_entries[tx_pos]
+                if successor is rx_entries[rx_pos]:
+                    # Handover rule: the next entry on both ports takes them both.
+                    self._tx_owner[tx] = self._rx_owner[rx] = successor
+                    self._handovers += 1
+                    return
         # Removal rule: only lower-priority chunks on the two freed ports can
         # flip status — scan each port from the removed chunk's key.
         del self._tx_owner[tx]
@@ -256,12 +273,11 @@ class MatchingIndex:
 
     def clear(self) -> None:
         """Forget every chunk and pending task."""
-        self._tx_chunks.clear()
-        self._rx_chunks.clear()
+        self._tx_runs.clear()
+        self._rx_runs.clear()
         self._tx_owner.clear()
         self._rx_owner.clear()
-        self._matched.clear()
-        self._eligible.clear()
+        self._run_of.clear()
         self._tasks.clear()
         self._tasks_done = 0
         self._evictions = 0
@@ -292,10 +308,10 @@ class MatchingIndex:
         ``greedy_stable_matching(eligible)`` recomputed from scratch.
         """
         self._drain()
-        return sorted(self._matched, key=chunk_priority_key)
+        return [run.chunks[0] for run in sorted(self._tx_owner.values(), key=_key)]
 
     def __len__(self) -> int:
-        return len(self._eligible)
+        return len(self._run_of)
 
     # ------------------------------------------------------------------ #
     # repair machinery
@@ -311,62 +327,51 @@ class MatchingIndex:
             self._tasks_done += 1
             if kind == _EVAL:
                 self._eval(payload)
-            elif kind == _SCAN_TX:
-                self._scan(payload[0], key, payload[1], is_tx=True)
             else:
-                self._scan(payload[0], key, payload[1], is_tx=False)
+                self._scan(payload[0], key, payload[1], is_tx=kind == _SCAN_TX)
 
-    def _eval(self, run: Tuple[Chunk, ...]) -> None:
+    def _eval(self, run: ChunkRun) -> None:
         """Decide an activated run at its head's priority position.
 
-        Chunks of the run removed before this task ran never held a port
-        (ports change hands only inside :meth:`_drain`), and no other task
-        key lies between theirs and the first remaining chunk's, so that
-        chunk is decided in the head's place.
+        Heads that left before this task ran never held a port (the run was
+        unmatched until its eval), and no other task key lies between theirs
+        and the run's current head, so that chunk is decided in their place.
         """
-        eligible = self._eligible
-        for chunk in run:
-            if chunk in eligible:
-                break
-        else:
+        if not run.chunks:
             return
-        if chunk in self._matched:
+        key = run.key
+        tx_owner = self._tx_owner.get(run.transmitter)
+        if tx_owner is run:
             return
-        key = chunk.key
-        tx_owner = self._tx_owner.get(chunk.transmitter)
-        rx_owner = self._rx_owner.get(chunk.receiver)
+        rx_owner = self._rx_owner.get(run.receiver)
         # The priority key is a total order, so an owner's key is never equal
-        # to ``key``; a lower key means the owner outranks (blocks) the chunk.
+        # to ``key``; a lower key means the owner outranks (blocks) the run.
         if tx_owner is not None and tx_owner.key < key:
             return
         if rx_owner is not None and rx_owner.key < key:
             return
-        self._match(chunk, tx_owner, rx_owner)
+        self._match(run, tx_owner, rx_owner)
 
     def _match(
-        self, chunk: Chunk, tx_owner: Optional[Chunk], rx_owner: Optional[Chunk]
+        self, run: ChunkRun, tx_owner: Optional[ChunkRun], rx_owner: Optional[ChunkRun]
     ) -> None:
-        """Match ``chunk``, evicting the (strictly lower-priority) port owners."""
+        """Match ``run``'s head, evicting the (strictly lower-priority) port owners."""
         if tx_owner is not None and tx_owner is rx_owner:
-            # Same-edge owner: both its ports pass straight to ``chunk``.
-            self._matched.remove(tx_owner)
+            # Same-edge owner: both its ports pass straight to ``run``.
             self._evictions += 1
         else:
             if tx_owner is not None:
                 # Evicted from the shared transmitter; its receiver is freed
                 # and only chunks below the evictee can use it.
-                self._matched.remove(tx_owner)
                 self._evictions += 1
                 del self._rx_owner[tx_owner.receiver]
                 self._push(tx_owner.key, _SCAN_RX, (tx_owner.receiver, None))
             if rx_owner is not None:
-                self._matched.remove(rx_owner)
                 self._evictions += 1
                 del self._tx_owner[rx_owner.transmitter]
                 self._push(rx_owner.key, _SCAN_TX, (rx_owner.transmitter, None))
-        self._tx_owner[chunk.transmitter] = chunk
-        self._rx_owner[chunk.receiver] = chunk
-        self._matched.add(chunk)
+        self._tx_owner[run.transmitter] = run
+        self._rx_owner[run.receiver] = run
 
     def _scan(
         self,
@@ -376,37 +381,38 @@ class MatchingIndex:
         *,
         is_tx: bool,
     ) -> None:
-        """Find a new owner for a freed ``port`` among chunks at or below ``from_key``.
+        """Find a new owner for a freed ``port`` among runs at or below ``from_key``.
 
         Decisions made while this task was queued all had keys <= ``from_key``
         (the deferral rule below guarantees it), so if the port has an owner
         again it outranks every candidate and the scan is over.
 
         The scan walks the port's key-sorted list from ``from_key``, skipping
-        chunks whose peer port is in the local ``blocked`` set.  ``state`` is
+        runs whose peer port is in the local ``blocked`` set.  ``state`` is
         ``None`` for a fresh scan (one bisect finds the start) or the saved
-        ``(index, blocked)`` of a deferred scan — port lists only mutate
-        outside :meth:`_drain`, and a deferred scan is always re-popped within
+        ``(index, blocked)`` of a deferred scan — port lists and run keys
+        only change outside :meth:`_drain`, and a deferred scan is always re-popped within
         the same drain, so the saved index stays valid.
         """
         owners = self._tx_owner if is_tx else self._rx_owner
         if port in owners:
             return
-        entries = (self._tx_chunks if is_tx else self._rx_chunks).get(port)
+        entries = (self._tx_runs if is_tx else self._rx_runs).get(port)
         if entries is None:
             return
         if state is None:
-            start = bisect_left(entries, (from_key,))
+            start = bisect_left(entries, from_key, key=_key)
             blocked: Set[str] = set()
         else:
             start, blocked = state
         other_owners = self._rx_owner if is_tx else self._tx_owner
         tasks = self._tasks
         for index in range(start, len(entries)):
-            candidate_key, candidate = entries[index]
+            candidate = entries[index]
             peer = candidate.receiver if is_tx else candidate.transmitter
             if peer in blocked:
                 continue
+            candidate_key = candidate.key
             if tasks and tasks[0][0] < candidate_key:
                 # A strictly higher-priority task is pending; defer so every
                 # decision is made in global priority order.
@@ -414,8 +420,8 @@ class MatchingIndex:
                     candidate_key, _SCAN_TX if is_tx else _SCAN_RX, (port, (index, blocked))
                 )
                 return
-            # ``candidate`` is unmatched: matched chunks own both their
-            # ports, and this port has no owner.
+            # ``candidate`` is unmatched: matched runs own both their ports,
+            # and this port has no owner.
             other_owner = other_owners.get(peer)
             if other_owner is None or candidate_key < other_owner.key:
                 if is_tx:

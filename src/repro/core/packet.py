@@ -22,6 +22,7 @@ from repro.exceptions import DispatchError
 __all__ = [
     "Packet",
     "Chunk",
+    "ChunkRun",
     "EdgeAssignment",
     "FixedLinkAssignment",
     "Assignment",
@@ -162,6 +163,35 @@ class Chunk:
             f"Chunk(p{self.packet.packet_id}#{self.index}, edge={self.edge}, "
             f"w={self.weight:.4g}, {state})"
         )
+
+
+class ChunkRun:
+    """One sorted-structure entry for a run: consecutive chunks of one packet
+    on one edge, with one weight and one ``eligible_time``.
+
+    No other chunk's key lies between the run's keys, so the entry sorts by
+    ``key``, its first pending chunk's (the head's).  When the head leaves,
+    its holder moves ``key`` to the next chunk and every list stays sorted.
+    The pool caches ``impact_hash`` here (see its impact fingerprint).
+    """
+
+    __slots__ = ("chunks", "key", "transmitter", "receiver", "impact_hash")
+
+    def __init__(self, chunks: List[Chunk]) -> None:
+        head = chunks[0]
+        self.chunks = chunks
+        self.key = head.key
+        self.transmitter = head.transmitter
+        self.receiver = head.receiver
+
+    def cut(self, chunk: Chunk) -> List[Chunk]:
+        """Take ``chunk``, not the head, out of the run; return the chunks
+        after it, which must become a run of their own."""
+        chunks = self.chunks
+        pos = chunks.index(chunk)
+        rest = chunks[pos + 1:]
+        del chunks[pos:]
+        return rest
 
 
 @dataclass

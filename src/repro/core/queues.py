@@ -5,33 +5,33 @@ once, in its reconfigurable edge's transmission queue, kept sorted by the
 single chunk order of :mod:`repro.utils.ordering` (decreasing weight, ties
 by earlier arrival).  Each chunk carries its priority key from creation
 (:attr:`Chunk.key <repro.core.packet.Chunk>`), and the key never changes for
-the chunk's lifetime (the engine mutates ``remaining_work``, and a fault
-redispatch only moves the chunk between edges by removing and re-adding
-it), so an insertion or removal is one bisect on cached keys.
+the chunk's lifetime (a fault redispatch moves the chunk between edges by
+removing and re-adding it).
 
-Run admission
--------------
+Run entries
+-----------
 A packet dispatched to edge ``e`` becomes ``d(e)`` chunks with the same edge,
-weight and eligibility time, whose keys differ only in the chunk index.
-:meth:`PendingChunkPool.add_all` splits its input into such *runs* and
-admits each run with one bisect and one slice insertion per sorted
-structure: the edge queue, the eligible views, the matching index's port
-lists and the impact index's multisets.  The slice is always in place: the
-only keys that could fall between a run's first and last key belong to the
-same packet at indices in between, which are the run itself (duplicates are
-rejected).  :meth:`~PendingChunkPool.add` is a run of one, so there is a
-single insertion path.  Checks stay per chunk, and the pending-work counter
-still adds each chunk's work in order, so its float is unchanged.
+weight and eligibility time, whose keys differ only in the chunk index.  No
+other key falls between them, so every sorted structure (the edge queue, the
+eligible set and views, the future buckets and the matching index's port
+lists) holds such a *run* as one :class:`~repro.core.packet.ChunkRun` entry,
+sorted by its head's key.  :meth:`PendingChunkPool.add_all` admits each run
+with one bisect per structure (:meth:`~PendingChunkPool.add` is a run of
+one).  :meth:`~PendingChunkPool.remove` takes one chunk: unless it is its
+run's last, the entry stays in place and its head moves to the run's next
+chunk, so nothing is bisected or deleted.  A chunk taken from behind its
+run's head splits the chunks after it off as a new entry.  Checks and
+counters stay per chunk, in the same order, so every float is unchanged.
 
 Two peer sets per port (the receivers a transmitter has pending chunks
 towards, and the transmitters feeding a receiver) record which edge queues
 are non-empty.  The per-port views — :meth:`chunks_at_transmitter`,
 :meth:`chunks_at_receiver`, :meth:`adjacent_chunks` (the dispatcher's
 ``A_p(e)``), the ``busy_*`` sets and the ``weight_at_*`` sums — are derived
-from them on demand by merging the port's edge queues (a sort over
-presorted runs, which Timsort merges in C).  The merge keeps priority
-order, so fault eviction removes chunks in the same order as a port-sorted
-list would, and weight sums add the same floats in the same order.  ALG on
+from them on demand by merging the port's edge queues (a sort of their run
+entries, which Timsort merges in C).  The merge keeps priority order, so
+fault eviction removes chunks in the same order as a port-sorted list
+would, and weight sums add the same floats in the same order.  ALG on
 the indexed engine reads none of these views per slot (the impact index
 answers its dispatcher and the matching index its scheduler); their readers
 are fault eviction, the reference engine's adjacency scan and the
@@ -39,16 +39,15 @@ least-loaded baseline, so the pool keeps no sorted per-port lists for them.
 
 Eligibility partition
 ---------------------
-Pending chunks are split into two sets: *eligible* chunks
+Pending runs are split into two sets: *eligible* runs
 (``eligible_time <= watermark``) live in priority-sorted iteration lists,
-while *future* chunks (head-of-line delay not yet elapsed) wait in
+while *future* runs (head-of-line delay not yet elapsed) wait in
 time-bucketed activation queues keyed by their ``eligible_time``.  A
 monotone watermark (:attr:`eligible_through`) advances with the queries, and
 :meth:`advance_eligibility` promotes whole buckets as their activation time
-is reached.  This turns :meth:`eligible_chunks` from a full-pool filter into
-a straight read of the eligible list, and lets the engine's slot-skipping
-fast path jump directly to :meth:`next_activation_time` when nothing is
-currently eligible.
+is reached.  This makes :meth:`eligible_chunks` a straight read, and lets the
+engine's slot-skipping fast path jump to :meth:`next_activation_time` when
+nothing is currently eligible.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.impact_index import ImpactIndex
 from repro.core.matching_index import MatchingIndex
-from repro.core.packet import Chunk
+from repro.core.packet import Chunk, ChunkRun
 from repro.exceptions import SimulationError
 from repro.utils.ordering import chunk_fifo_key
 
@@ -70,17 +69,18 @@ __all__ = ["PendingChunkPool"]
 #: The chunk priority key as a C-level getter, for this module's bisects and
 #: sorts (same order as :func:`~repro.utils.ordering.chunk_priority_key`).
 _key = attrgetter("key")
+_chunks = attrgetter("chunks")
+
+
+def _fifo_key(run: ChunkRun) -> Tuple[float, int, int]:
+    """A run entry's place in FIFO order: its head's (a run is consecutive there too)."""
+    return chunk_fifo_key(run.chunks[0])
 
 
 def _runs(chunks: Iterable[Chunk]) -> Iterator[List[Chunk]]:
     """Split ``chunks`` into runs: maximal stretches of one packet's chunks
     with consecutive indices, on one edge, with one weight and one
-    ``eligible_time``.
-
-    A run's priority keys differ only in the chunk index, so no other chunk's
-    key lies between its first and last key, and each sorted structure takes
-    the whole run with one bisect and one slice insertion.
-    """
+    ``eligible_time``."""
     run: List[Chunk] = []
     for chunk in chunks:
         if run:
@@ -101,39 +101,37 @@ def _runs(chunks: Iterable[Chunk]) -> Iterator[List[Chunk]]:
         yield run
 
 
-def _insert_run(chunks: List[Chunk], run: List[Chunk], key=_key) -> None:
-    """Insert a run into a list sorted by ``key`` with one bisect and one slice."""
-    pos = bisect_left(chunks, key(run[0]), key=key)
-    chunks[pos:pos] = run
+def _insert(runs: List[ChunkRun], run: ChunkRun, key=_key) -> None:
+    """Insert a run entry into a list sorted by ``key``."""
+    runs.insert(bisect_left(runs, key(run), key=key), run)
 
 
-def _sorted_remove(chunks: List[Chunk], chunk: Chunk) -> None:
-    """Remove ``chunk`` from a priority-sorted list (O(log n) search, O(n) tail shift)."""
-    # The priority key is a total order (it ends in packet id / chunk
-    # index), so the chunk sits exactly at its key's bisection point.
-    del chunks[bisect_left(chunks, chunk.key, key=_key)]
+def _unlink(runs: List[ChunkRun], run: ChunkRun, key=_key) -> None:
+    """Delete a run entry from a list sorted by ``key`` (keys are a total order)."""
+    del runs[bisect_left(runs, key(run), key=key)]
 
 
-def _merge_queues(queues: List[List[Chunk]]) -> List[Chunk]:
-    """Merge priority-sorted edge queues into one priority-sorted list.
+def _expand(runs: Iterable[ChunkRun]) -> Iterator[Chunk]:
+    """The chunks of priority-ordered run entries, in priority order."""
+    return chain.from_iterable(map(_chunks, runs))
 
-    Timsort finds each queue as a presorted run and merges the runs in C,
-    several times faster than :func:`heapq.merge`'s Python-level loop.  Most
-    ports have at most one non-empty queue, which is copied as is.
+
+def _merged(queues: List[List[ChunkRun]]) -> List[ChunkRun]:
+    """Merge a port's priority-sorted edge queues into one sorted entry list.
+
+    Runs never interleave, so ordering the entries orders the chunks.
+    Timsort finds each queue as a presorted run and merges them in C.  Most
+    ports have at most one non-empty queue, which is returned as is.
     """
     if len(queues) > 1:
         return sorted(chain.from_iterable(queues), key=_key)
-    return list(queues[0]) if queues else []
+    return queues[0] if queues else []
 
 
-def _priority_weight(queues: List[List[Chunk]]) -> float:
-    """Total chunk weight of one port's non-empty queues, added in priority order.
-
-    That is the order of the port's merged view, so the float sum is the same
-    as summing a single port-sorted list.
-    """
-    chunks = _merge_queues(queues) if len(queues) > 1 else queues[0]
-    return sum(c.weight for c in chunks)
+def _priority_weight(queues: List[List[ChunkRun]]) -> float:
+    """Total chunk weight of one port's non-empty queues, added chunk by chunk
+    in the port's priority order, so the float sum is that of its merged view."""
+    return sum(chunk.weight for run in _merged(queues) for chunk in run.chunks)
 
 
 def _drop_peer(peers_by_port: Dict[str, Set[str]], port: str, peer: str) -> None:
@@ -164,23 +162,25 @@ class PendingChunkPool:
     """
 
     def __init__(self, *, impact_index: bool = False, matching_index: bool = False) -> None:
-        self._by_edge: Dict[Tuple[str, str], List[Chunk]] = {}
+        # Edge → its run entries, in priority order.
+        self._by_edge: Dict[Tuple[str, str], List[ChunkRun]] = {}
         # Port → the peer ports of its non-empty edge queues.
         self._tx_peers: Dict[str, Set[str]] = {}
         self._rx_peers: Dict[str, Set[str]] = {}
-        self._all: Set[Chunk] = set()
-        # Eligibility partition: chunks whose eligible_time has been reached
+        # Pending chunk → its run entry.
+        self._run_of: Dict[Chunk, ChunkRun] = {}
+        # Eligibility partition: runs whose eligible_time has been reached
         # (relative to the monotone watermark) form the eligible set; later
-        # chunks wait in per-activation-time buckets fronted by a min-heap of
+        # runs wait in per-activation-time buckets fronted by a min-heap of
         # activation times.  The priority- and FIFO-ordered views of the
         # eligible set are each built lazily on first use and maintained
         # incrementally afterwards, so only schedulers that actually iterate
         # in that order pay for the sorted insertions (the incremental
         # matching scheduler needs neither view).
-        self._eligible_set: Set[Chunk] = set()
-        self._eligible: Optional[List[Chunk]] = None
-        self._eligible_fifo: Optional[List[Chunk]] = None
-        self._future: Dict[int, List[Chunk]] = {}
+        self._eligible_set: Set[ChunkRun] = set()
+        self._eligible: Optional[List[ChunkRun]] = None
+        self._eligible_fifo: Optional[List[ChunkRun]] = None
+        self._future: Dict[int, List[ChunkRun]] = {}
         self._future_times: List[int] = []
         self._eligible_through = 0
         # Incrementally maintained O(1) counters: the number of pending
@@ -211,75 +211,96 @@ class PendingChunkPool:
         for run in _runs(chunks):
             self._add_run(run)
 
-    def _add_run(self, run: List[Chunk]) -> None:
+    def _add_run(self, chunks: List[Chunk]) -> None:
         """Admit one run (see :func:`_runs`): every chunk is validated, then
-        each sorted structure takes the run in one slice insertion."""
-        members = self._all
-        for chunk in run:
-            if chunk in members:
+        the run's entry goes into each sorted structure."""
+        run_of = self._run_of
+        for chunk in chunks:
+            if chunk in run_of:
                 raise SimulationError(f"chunk {chunk!r} is already in the pool")
             if not chunk.pending:
                 raise SimulationError(f"cannot add non-pending chunk {chunk!r}")
-        head = run[0]
-        count = len(run)
-        members.update(run)
-        self._size += count
-        for chunk in run:  # chunk by chunk, so the float sum is unchanged
+        run = ChunkRun(chunks)
+        self._size += len(chunks)
+        for chunk in chunks:  # chunk by chunk, so the float sum is unchanged
+            run_of[chunk] = run
             self._pending_work += chunk.remaining_work
-        tx, rx = head.transmitter, head.receiver
-        self._impact_fingerprint += count * hash((tx, rx, head.weight))
+        head = chunks[0]
+        run.impact_hash = hash((run.transmitter, run.receiver, head.weight))
+        self._impact_fingerprint += len(chunks) * run.impact_hash
         if self._impact_index is not None:
-            self._impact_index.add(head, count)
-        eligible_time = head.eligible_time
+            self._impact_index.add(head, len(chunks))
+        self._place(run, head.eligible_time)
+        if self._matching_index is not None and head.eligible_time <= self._eligible_through:
+            self._matching_index.activate(*chunks)
+
+    def _place(self, run: ChunkRun, eligible_time: int) -> None:
+        """Put a new run entry into its edge queue and its eligibility partition."""
         if eligible_time <= self._eligible_through:
             self._activate(run)
         else:
             bucket = self._future.get(eligible_time)
             if bucket is None:
-                self._future[eligible_time] = list(run)
+                self._future[eligible_time] = [run]
                 heappush(self._future_times, eligible_time)
             else:
-                bucket.extend(run)
-        edge_list = self._by_edge.get((tx, rx))
-        if edge_list is None:
-            self._by_edge[(tx, rx)] = list(run)
+                bucket.append(run)
+        tx, rx = run.transmitter, run.receiver
+        edge_queue = self._by_edge.get((tx, rx))
+        if edge_queue is None:
+            self._by_edge[(tx, rx)] = [run]
             self._tx_peers.setdefault(tx, set()).add(rx)
             self._rx_peers.setdefault(rx, set()).add(tx)
         else:
-            _insert_run(edge_list, run)
+            _insert(edge_queue, run)
 
     def remove(self, chunk: Chunk) -> None:
         """Remove a chunk (typically because it finished transmission)."""
-        if chunk not in self._all:
+        run = self._run_of.pop(chunk, None)
+        if run is None:
             raise SimulationError(f"chunk {chunk!r} is not in the pool")
-        self._all.discard(chunk)
         self._size -= 1
         self._pending_work -= chunk.remaining_work
         if self._size == 0:
             self._pending_work = 0.0  # keep float drift from accumulating across bursts
-        self._impact_fingerprint -= hash((chunk.transmitter, chunk.receiver, chunk.weight))
+        self._impact_fingerprint -= run.impact_hash
         if self._impact_index is not None:
             self._impact_index.discard(chunk)
-        if chunk.eligible_time <= self._eligible_through:
-            self._eligible_set.discard(chunk)
+        eligible = chunk.eligible_time <= self._eligible_through
+        if eligible and self._matching_index is not None:
+            self._matching_index.discard(chunk)
+        chunks = run.chunks
+        if len(chunks) > 1:
+            # Not the run's last chunk: the entry stays where it is.
+            if chunks[0] is chunk:
+                del chunks[0]
+                run.key = chunks[0].key
+                return
+            rest = run.cut(chunk)
+            if rest:
+                tail = ChunkRun(rest)
+                tail.impact_hash = run.impact_hash
+                self._run_of.update(dict.fromkeys(rest, tail))
+                self._place(tail, chunk.eligible_time)
+            return
+        # The run's last chunk: its entry leaves every structure.
+        if eligible:
+            self._eligible_set.remove(run)
             if self._eligible is not None:
-                _sorted_remove(self._eligible, chunk)
+                _unlink(self._eligible, run)
             if self._eligible_fifo is not None:
-                fifo = self._eligible_fifo
-                del fifo[bisect_left(fifo, chunk_fifo_key(chunk), key=chunk_fifo_key)]
-            if self._matching_index is not None:
-                self._matching_index.discard(chunk)
+                _unlink(self._eligible_fifo, run, _fifo_key)
         else:
             bucket = self._future[chunk.eligible_time]
-            bucket.remove(chunk)
+            bucket.remove(run)
             if not bucket:
                 # The activation time stays in the heap; stale entries are
                 # skipped lazily when the heap front is inspected.
                 del self._future[chunk.eligible_time]
-        tx, rx = chunk.transmitter, chunk.receiver
-        edge_list = self._by_edge[(tx, rx)]
-        _sorted_remove(edge_list, chunk)
-        if not edge_list:
+        tx, rx = run.transmitter, run.receiver
+        edge_queue = self._by_edge[(tx, rx)]
+        _unlink(edge_queue, run)
+        if not edge_queue:
             del self._by_edge[(tx, rx)]
             _drop_peer(self._tx_peers, tx, rx)
             _drop_peer(self._rx_peers, rx, tx)
@@ -289,7 +310,7 @@ class PendingChunkPool:
         self._by_edge.clear()
         self._tx_peers.clear()
         self._rx_peers.clear()
-        self._all.clear()
+        self._run_of.clear()
         self._eligible_set.clear()
         if self._eligible is not None:
             self._eligible.clear()
@@ -319,7 +340,7 @@ class PendingChunkPool:
         """Switch the incremental impact index on, backfilling current chunks."""
         if self._impact_index is None:
             index = ImpactIndex()
-            for chunk in self._all:
+            for chunk in self._run_of:
                 index.add(chunk)
             self._impact_index = index
         return self._impact_index
@@ -328,27 +349,23 @@ class PendingChunkPool:
         """Switch the incremental matching index on, backfilling eligible chunks."""
         if self._matching_index is None:
             index = MatchingIndex()
-            for chunk in sorted(self._eligible_set, key=_key):
-                index.activate(chunk)
+            for run in sorted(self._eligible_set, key=_key):
+                index.activate(*run.chunks)
             self._matching_index = index
         return self._matching_index
 
     # ------------------------------------------------------------------ #
     # eligibility partition
     # ------------------------------------------------------------------ #
-    def _activate(self, run: List[Chunk]) -> None:
-        """Move a run into the eligible partition's iteration structures."""
-        self._eligible_set.update(run)
+    def _activate(self, run: ChunkRun) -> None:
+        """Move a run entry into the eligible partition's iteration structures."""
+        self._eligible_set.add(run)
         if self._eligible is not None:
-            _insert_run(self._eligible, run)
+            _insert(self._eligible, run)
         if self._eligible_fifo is not None:
-            # A run is consecutive in FIFO order too: same packet, and
-            # consecutive indices.
-            _insert_run(self._eligible_fifo, run, chunk_fifo_key)
-        if self._matching_index is not None:
-            self._matching_index.activate(*run)
+            _insert(self._eligible_fifo, run, _fifo_key)
 
-    def _sorted_eligible(self) -> List[Chunk]:
+    def _sorted_eligible(self) -> List[ChunkRun]:
         """The priority-ordered view of the eligible set, built on first use."""
         if self._eligible is None:
             self._eligible = sorted(self._eligible_set, key=_key)
@@ -360,14 +377,13 @@ class PendingChunkPool:
             return
         self._eligible_through = now
         times = self._future_times
+        index = self._matching_index
         while times and times[0] <= now:
             due = heappop(times)
-            bucket = self._future.pop(due, None)
-            if bucket:
-                # Buckets keep admission order, so runs stay together
-                # (a removal at most splits one).
-                for run in _runs(bucket):
-                    self._activate(run)
+            for run in self._future.pop(due, ()):
+                self._activate(run)
+                if index is not None:
+                    index.activate(*run.chunks)
 
     @property
     def eligible_through(self) -> int:
@@ -392,7 +408,7 @@ class PendingChunkPool:
         self.advance_eligibility(now)
         if now >= self._eligible_through:
             return bool(self._eligible_set)
-        return any(c.eligible_time <= now for c in self._eligible_set)
+        return any(run.chunks[0].eligible_time <= now for run in self._eligible_set)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -432,42 +448,42 @@ class PendingChunkPool:
     def occupancy(self) -> Dict[str, float]:
         """JSON-ready occupancy gauges: chunk counts and pending work.
 
-        Reads maintained state only (the future count walks the activation
-        buckets, O(distinct activation times)), so the snapshot is safe to
-        take from instrumentation at any point of a run.
+        Reads maintained state only (the counts walk the run entries), so the
+        snapshot is safe to take at any point of a run.
         """
+        future = chain.from_iterable(self._future.values())
         return {
             "pending_chunks": self._size,
-            "eligible_chunks": len(self._eligible_set),
-            "future_chunks": sum(len(bucket) for bucket in self._future.values()),
+            "eligible_chunks": sum(len(run.chunks) for run in self._eligible_set),
+            "future_chunks": sum(len(run.chunks) for run in future),
             "pending_work": self.total_pending_work(),
         }
 
     def __contains__(self, chunk: Chunk) -> bool:
-        return chunk in self._all
+        return chunk in self._run_of
 
     def __iter__(self) -> Iterator[Chunk]:
-        return iter(self._all)
+        return iter(self._run_of)
 
     def is_empty(self) -> bool:
         """Whether the pool holds no pending chunks."""
-        return not self._all
+        return not self._run_of
 
     def chunks_on_edge(self, transmitter: str, receiver: str) -> List[Chunk]:
         """Pending chunks assigned to the given edge, in priority order."""
-        return list(self._by_edge.get((transmitter, receiver), ()))
+        return list(_expand(self._by_edge.get((transmitter, receiver), ())))
 
     def chunks_at_transmitter(self, transmitter: str) -> List[Chunk]:
         """Pending chunks assigned to any edge incident to ``transmitter``, in priority order."""
         by_edge = self._by_edge
-        return _merge_queues(
-            [by_edge[(transmitter, rx)] for rx in self._tx_peers.get(transmitter, ())]
-        )
+        queues = [by_edge[(transmitter, rx)] for rx in self._tx_peers.get(transmitter, ())]
+        return list(_expand(_merged(queues)))
 
     def chunks_at_receiver(self, receiver: str) -> List[Chunk]:
         """Pending chunks assigned to any edge incident to ``receiver``, in priority order."""
         by_edge = self._by_edge
-        return _merge_queues([by_edge[(tx, receiver)] for tx in self._rx_peers.get(receiver, ())])
+        queues = [by_edge[(tx, receiver)] for tx in self._rx_peers.get(receiver, ())]
+        return list(_expand(_merged(queues)))
 
     def adjacent_chunks(self, transmitter: str, receiver: str) -> List[Chunk]:
         """Pending chunks sharing the transmitter *or* the receiver of an edge.
@@ -485,14 +501,11 @@ class PendingChunkPool:
             for tx in self._rx_peers.get(receiver, ())
             if tx != transmitter
         )
-        return _merge_queues(queues)
+        return list(_expand(_merged(queues)))
 
     def eligible_chunks(self, now: int) -> List[Chunk]:
         """All pending chunks whose ``eligible_time <= now``, in priority order."""
-        if now >= self._eligible_through:
-            self.advance_eligibility(now)
-            return list(self._sorted_eligible())
-        return [c for c in self._sorted_eligible() if c.eligible_time <= now]
+        return list(self.iter_eligible(now))
 
     def iter_eligible(self, now: int) -> Iterator[Chunk]:
         """Iterate eligible chunks in priority order without materialising a list.
@@ -500,10 +513,7 @@ class PendingChunkPool:
         The pool must not be mutated while the iterator is live (the per-slot
         schedulers read it to completion before transmitting anything).
         """
-        if now >= self._eligible_through:
-            self.advance_eligibility(now)
-            return iter(self._sorted_eligible())
-        return (c for c in self._sorted_eligible() if c.eligible_time <= now)
+        return self._read_eligible(self._sorted_eligible(), now)
 
     def iter_eligible_fifo(self, now: int) -> Iterator[Chunk]:
         """Iterate eligible chunks in FIFO (arrival) order without re-sorting.
@@ -514,11 +524,15 @@ class PendingChunkPool:
         no-mutation-while-iterating rule as :meth:`iter_eligible` applies.
         """
         if self._eligible_fifo is None:
-            self._eligible_fifo = sorted(self._eligible_set, key=chunk_fifo_key)
+            self._eligible_fifo = sorted(self._eligible_set, key=_fifo_key)
+        return self._read_eligible(self._eligible_fifo, now)
+
+    def _read_eligible(self, view: List[ChunkRun], now: int) -> Iterator[Chunk]:
+        """The chunks of an eligible view, filtered when ``now`` is behind the watermark."""
         if now >= self._eligible_through:
-            self.advance_eligibility(now)
-            return iter(self._eligible_fifo)
-        return (c for c in self._eligible_fifo if c.eligible_time <= now)
+            self.advance_eligibility(now)  # promotions go into ``view`` too
+            return _expand(view)
+        return (c for c in _expand(view) if c.eligible_time <= now)
 
     def busy_transmitters(self) -> Set[str]:
         """Transmitters with at least one pending chunk."""
@@ -530,7 +544,7 @@ class PendingChunkPool:
 
     def total_weight(self) -> float:
         """Sum of weights of all pending chunks."""
-        return sum(c.weight for c in self._all)
+        return sum(c.weight for c in self._run_of)
 
     def weight_at_transmitter(self, transmitter: str) -> float:
         """Total pending chunk weight at ``transmitter`` (the β_{t,τ} quantity restricted to pending chunks)."""

@@ -1280,61 +1280,57 @@ class SimulationEngine:
     ) -> None:
         """Transmit up to ``budget`` chunk-units on ``head_chunk``'s edge.
 
-        The head chunk is served first; any leftover budget spills to the
-        edge's other eligible chunks in priority order (see
-        :func:`_edge_queue`, which copies the queue only when it is reached).
+        The head chunk is served first.  Only a leftover budget reads the
+        edge's other chunks eligible at ``slot``: a snapshot of the queue
+        taken after the head was served, walked in priority order with the
+        head excluded by identity, so the order matches a snapshot taken
+        before.  At speed 1 on a healthy fabric the head takes the whole
+        budget and the queue is never copied.
         """
         if budget <= _WORK_EPSILON:
             return
-        for chunk in _edge_queue(head_chunk, pool, slot):
+        chunk = head_chunk
+        rest: Optional[Iterator[Chunk]] = None
+        while True:
             amount = min(budget, chunk.remaining_work)
-            if amount <= 0:
-                continue
-            budget -= amount
-            chunk.remaining_work -= amount
-            pool.debit_work(amount)
-            delivery_time = slot + 1 + chunk.tail_delay
-            completed = chunk.remaining_work <= _WORK_EPSILON
-            if completed:
-                chunk.remaining_work = 0.0
-                chunk.completed_slot = slot
-                chunk.delivery_time = delivery_time
-                pool.remove(chunk)
+            if amount > 0:
+                budget -= amount
+                chunk.remaining_work -= amount
+                pool.debit_work(amount)
+                delivery_time = slot + 1 + chunk.tail_delay
+                completed = chunk.remaining_work <= _WORK_EPSILON
+                if completed:
+                    chunk.remaining_work = 0.0
+                    chunk.completed_slot = slot
+                    chunk.delivery_time = delivery_time
+                    pool.remove(chunk)
 
-            packet = chunk.packet
-            fraction = amount * chunk.size
-            recorder.on_transmit(
-                chunk,
-                fraction * packet.weight * (delivery_time - packet.arrival),
-                completed,
-            )
-            if slot_trace is not None:
-                slot_trace.transmissions.append(
-                    TransmissionEvent(
-                        packet_id=packet.packet_id,
-                        chunk_index=chunk.index,
-                        edge=head_chunk.edge,
-                        amount=amount,
-                        completed=completed,
-                    )
+                packet = chunk.packet
+                fraction = amount * chunk.size
+                recorder.on_transmit(
+                    chunk,
+                    fraction * packet.weight * (delivery_time - packet.arrival),
+                    completed,
                 )
-            if budget <= _WORK_EPSILON:
-                break
-
-
-def _edge_queue(head: Chunk, pool: PendingChunkPool, slot: int) -> Iterator[Chunk]:
-    """``head``, then the other chunks of its edge eligible at ``slot``, in priority order.
-
-    When the head's remaining work covers the budget (every slot at speed 1
-    on a healthy fabric) the consumer stops after the head, so the edge
-    queue is never copied; only a leftover budget resumes the generator and
-    takes the (post-head) snapshot.  The head is excluded by identity, so
-    the order matches a snapshot taken before the head was served.
-    """
-    yield head
-    for chunk in pool.chunks_on_edge(*head.edge):
-        if chunk is not head and chunk.eligible_time <= slot:
-            yield chunk
+                if slot_trace is not None:
+                    slot_trace.transmissions.append(
+                        TransmissionEvent(
+                            packet_id=packet.packet_id,
+                            chunk_index=chunk.index,
+                            edge=head_chunk.edge,
+                            amount=amount,
+                            completed=completed,
+                        )
+                    )
+                if budget <= _WORK_EPSILON:
+                    return
+            if rest is None:
+                rest = iter(pool.chunks_on_edge(*head_chunk.edge))
+            for chunk in rest:
+                if chunk is not head_chunk and chunk.eligible_time <= slot:
+                    break
+            else:
+                return
 
 
 def simulate(

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.packet import Packet, split_into_chunks
 from repro.core.queues import PendingChunkPool
+from repro.core.stable_matching import greedy_stable_matching
 from repro.exceptions import SimulationError
 from repro.utils.ordering import chunk_priority_key
 
@@ -526,38 +527,70 @@ class TestRunAdmission:
         single = PendingChunkPool(impact_index=True, matching_index=True)
         live: list = []
         now, next_pid = 1, 0
-        saw_promotion = saw_tie = False
-        for step in range(200):
+        saw_promotion = saw_tie = saw_partial = saw_behind_head = False
+
+        def admit() -> None:
+            # Few weights and arrivals: runs of different packets tie on
+            # (-w, arrival) and are ordered by packet id alone.
+            nonlocal next_pid, saw_tie
+            arrival = max(1, now - rng.randrange(2))
+            batch = []
+            for _ in range(rng.choice((1, 1, 2))):
+                packet = Packet(next_pid, "s", "d",
+                                weight=rng.choice((2.3, 2.3, 7.1)), arrival=arrival)
+                next_pid += 1
+                edge = (f"t{rng.randrange(self.PORTS)}", f"r{rng.randrange(self.PORTS)}")
+                batch.extend(split_into_chunks(
+                    packet, *edge, edge_delay=rng.choice((1, 3, 4)),
+                    head_delay=rng.randrange(4),
+                ))
+            keys = {c.key[:2] for c in live}
+            saw_tie |= any(c.key[:2] in keys for c in batch)
+            runs.add_all(batch)
+            for chunk in batch:
+                single.add(chunk)
+            live.extend(batch)
+
+        def remove(chunk) -> None:
+            live.remove(chunk)
+            runs.remove(chunk)
+            single.remove(chunk)
+
+        for step in range(240):
             op = rng.random()
-            if op < 0.45 or not live:
-                # Few weights and arrivals: runs of different packets tie on
-                # (-w, arrival) and are ordered by packet id alone.
-                arrival = max(1, now - rng.randrange(2))
-                batch = []
-                for _ in range(rng.choice((1, 1, 2))):
-                    packet = Packet(next_pid, "s", "d",
-                                    weight=rng.choice((2.3, 2.3, 7.1)), arrival=arrival)
-                    next_pid += 1
-                    edge = (f"t{rng.randrange(self.PORTS)}", f"r{rng.randrange(self.PORTS)}")
-                    batch.extend(split_into_chunks(
-                        packet, *edge, edge_delay=rng.choice((1, 3, 4)),
-                        head_delay=rng.randrange(4),
-                    ))
-                keys = {c.key[:2] for c in live}
-                saw_tie |= any(c.key[:2] in keys for c in batch)
-                runs.add_all(batch)
-                for chunk in batch:
-                    single.add(chunk)
-                live.extend(batch)
-            elif op < 0.75:
-                chunk = live.pop(rng.randrange(len(live)))
-                runs.remove(chunk)
-                single.remove(chunk)
+            if op < 0.4 or not live:
+                admit()
+            elif op < 0.55:
+                chunk = rng.choice(live)
+                saw_behind_head |= runs.chunks_on_edge(*chunk.edge)[0] is not chunk
+                remove(chunk)
+            elif op < 0.8:
+                # Serve the head of a matched edge, as a slot does: partly
+                # (a degraded rate) or to completion, sometimes behind a
+                # freshly admitted run whose eval is still pending.
+                matched = runs.matching_index.current_matching()
+                if not matched:
+                    continue
+                if rng.random() < 0.5:
+                    admit()
+                head = rng.choice(matched)
+                amount = min(head.remaining_work, rng.choice((0.25, 0.5, 1.0)))
+                head.remaining_work -= amount
+                runs.debit_work(amount)
+                single.debit_work(amount)
+                if head.remaining_work <= 1e-9:
+                    head.remaining_work = 0.0
+                    remove(head)
+                else:
+                    saw_partial = True
             else:
                 before = runs.occupancy()["future_chunks"]
                 now += rng.randrange(1, 3)
                 runs.advance_eligibility(now)
                 single.advance_eligibility(now)
                 saw_promotion |= runs.occupancy()["future_chunks"] < before
+            single.advance_eligibility(now)
+            eligible = runs.eligible_chunks(now)
+            assert runs.matching_index.current_matching() == greedy_stable_matching(eligible)
             self._assert_twins(runs, single, now, rng)
-        assert saw_promotion and saw_tie
+        assert saw_promotion and saw_tie and saw_partial and saw_behind_head
