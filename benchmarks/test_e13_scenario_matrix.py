@@ -3,10 +3,10 @@
 Engineering benchmark for the scenario-matrix subsystem: a 5-policy ×
 3-workload grid on a large ProjecToR fabric is evaluated twice —
 
-* ``mode="per-policy"``: one runner task per (cell, policy), each rebuilding
+* per-policy loop: one ``simulate`` call per (cell, policy), each rebuilding
   the topology and regenerating the workload from seeds (the pre-scenario
   architecture and the shape every sweep used to have);
-* ``mode="shared"``: one task per cell whose policies all run through
+* ``ScenarioMatrix.run``: one task per cell whose policies all run through
   ``SimulationEngine.run_multi`` over one shared arrival stream, so the
   topology is built and the workload generated exactly once per cell.
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 
 from repro.scenarios import Scenario, ScenarioMatrix, TopologySpec, WorkloadSpec
+from repro.simulation import simulate
 
 #: ALG and the four standard baselines — the E7 comparison set.
 _POLICIES = ("alg", "fifo", "maxweight", "islip", "shortest-path")
@@ -51,24 +52,44 @@ def _matrix() -> ScenarioMatrix:
     return ScenarioMatrix(name="e13", scenarios=scenarios)
 
 
+def _per_policy_rows(matrix: ScenarioMatrix) -> list:
+    """One ``simulate`` per (cell, policy), each materialising the cell afresh."""
+    rows = []
+    for scenario, seed in matrix.cells():
+        for name in scenario.policies:
+            topology, packets, policies = scenario.materialise(seed)
+            result = simulate(
+                topology, policies[name], packets, speed=scenario.speed,
+                max_slots=scenario.max_slots, engine=scenario.engine,
+            )
+            rows.append({
+                "scenario": scenario.name, "seed": seed, "policy": name,
+                "speed": scenario.speed, **result.summary(),
+            })
+    return rows
+
+
 def test_e13_scenario_matrix_single_pass_speedup(report):
     """run_multi grid ≥2× faster than the per-policy loop, identical rows."""
     matrix = _matrix()
 
-    def timed(mode: str):
+    def timed(run):
         start = time.perf_counter()
-        rows = matrix.run(mode=mode)
+        rows = run()
         return time.perf_counter() - start, rows
 
+    def per_policy():
+        return _per_policy_rows(matrix)
+
     # Warm-up pair so first-import costs don't skew either side.
-    timed("shared")
-    timed("per-policy")
+    timed(matrix.run)
+    timed(per_policy)
 
     pairs = []
     rows_shared = rows_per_policy = None
     for _ in range(3):
-        elapsed_shared, rows_shared = timed("shared")
-        elapsed_per_policy, rows_per_policy = timed("per-policy")
+        elapsed_shared, rows_shared = timed(matrix.run)
+        elapsed_per_policy, rows_per_policy = timed(per_policy)
         pairs.append((elapsed_per_policy, elapsed_shared))
 
     assert rows_shared == rows_per_policy, (
@@ -93,8 +114,8 @@ def test_e13_scenario_matrix_single_pass_speedup(report):
 def test_e13_rows_are_jobs_invariant(report):
     """The same grid fanned out over 4 worker processes yields identical rows."""
     matrix = _matrix()
-    serial = matrix.run(mode="shared")
-    parallel = matrix.run(mode="shared", jobs=4)
+    serial = matrix.run()
+    parallel = matrix.run(jobs=4)
     assert serial == parallel
     winners = {
         (row["scenario"], row["seed"]): min(

@@ -27,19 +27,18 @@ without writing Python:
     parallel experiment runner, fanning grid points out over ``--jobs`` worker
     processes, and optionally persist the rows as JSON (or, with a
     ``.jsonl`` output path, as streamed JSON Lines).  ``--retention
-    aggregate`` bounds each simulation's memory; ``--chunksize`` sets how
-    many grid points are streamed to a worker per dispatch.
+    aggregate`` bounds each simulation's memory.
 
 ``python -m repro.cli scenarios list --tag adversarial``
     Show the declarative scenario registry (name, tags, recipe, policies).
 
 ``python -m repro.cli scenarios run --grid smoke --jobs 4``
     Expand a named grid (or ``--scenario NAME...``) of the scenario matrix
-    and run every (scenario, seed) cell; in the default ``--mode shared``
-    each cell evaluates all of its policies in a single engine pass over a
-    shared arrival stream (``SimulationEngine.run_multi``), so a P-policy
-    cell generates its workload once instead of P times.  Rows are identical
-    for any ``--jobs``, ``--mode`` and ``--retention``.
+    and run every (scenario, seed) cell as one task that evaluates all of
+    its policies in a single engine pass over a shared arrival stream
+    (``SimulationEngine.run_multi``), so a P-policy cell generates its
+    workload once instead of P times.  Rows are identical for any
+    ``--jobs`` and ``--retention``.
 
 ``python -m repro.cli search run --budget smoke --jobs 4``
     Hunt ALG's empirical worst cases: a deterministic evolutionary search
@@ -240,10 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulation retention mode for the E8/E9/E10 sweeps "
         "('aggregate' bounds per-run memory; rows are identical)",
     )
-    sweep.add_argument(
-        "--chunksize", type=int, default=1,
-        help="grid points streamed to a worker per dispatch (jobs > 1)",
-    )
     sweep.set_defaults(func=cmd_sweep)
 
     scenarios = sub.add_parser(
@@ -273,16 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     scen_run.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for the cell grid (rows identical for any value)",
-    )
-    scen_run.add_argument(
-        "--chunksize", type=int, default=1,
-        help="cells streamed to a worker per dispatch (jobs > 1)",
-    )
-    scen_run.add_argument(
-        "--mode", choices=("shared", "per-policy"), default="shared",
-        help="'shared' evaluates each cell's policies in one run_multi pass "
-        "over a shared arrival stream; 'per-policy' runs one task per "
-        "(cell, policy) — identical rows, finer parallelism",
     )
     scen_run.add_argument(
         "--retention", choices=("full", "aggregate"), default="full",
@@ -352,10 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     search_run.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for candidate evaluation (archive identical for any value)",
-    )
-    search_run.add_argument(
-        "--chunksize", type=int, default=1,
-        help="candidates streamed to a worker per dispatch (jobs > 1)",
     )
     search_run.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -602,17 +583,14 @@ def _run_one_sweep(name: str, args: argparse.Namespace) -> list:
             num_instances=2, num_packets=args.lp_packets, seed=args.seed
         )
         return competitive_ratio_sweep(
-            instances, epsilons=(0.5, 1.0, 2.0), use_lp=False, jobs=args.jobs,
-            chunksize=args.chunksize,
+            instances, epsilons=(0.5, 1.0, 2.0), use_lp=False, jobs=args.jobs
         )
     if name == "speedup":
         instances = small_lp_instances(
             num_instances=1, num_packets=args.lp_packets, seed=args.seed
         )
         instance = next(iter(instances.values()))
-        return speedup_sweep(
-            instance, speeds=(1.0, 1.5, 2.0, 3.0), jobs=args.jobs, chunksize=args.chunksize
-        )
+        return speedup_sweep(instance, speeds=(1.0, 1.5, 2.0, 3.0), jobs=args.jobs)
     if name == "delays":
         policies: Dict[str, Policy] = {
             "alg": OpportunisticLinkScheduler(),
@@ -620,32 +598,29 @@ def _run_one_sweep(name: str, args: argparse.Namespace) -> list:
         }
         return delay_heterogeneity_sweep(
             policies, num_packets=args.packets, seed=args.seed, jobs=args.jobs,
-            chunksize=args.chunksize, retention=args.retention,
+            retention=args.retention,
         )
     if name == "hybrid":
         return hybrid_fixed_link_sweep(
             num_racks=args.racks, num_packets=args.packets, seed=args.seed, jobs=args.jobs,
-            chunksize=args.chunksize, retention=args.retention,
+            retention=args.retention,
         )
     if name == "tiers":
         return two_tier_sweep(
             num_racks=args.racks, num_packets=args.packets, seed=args.seed, jobs=args.jobs,
-            chunksize=args.chunksize, retention=args.retention,
+            retention=args.retention,
         )
     raise ValueError(f"unknown sweep {name!r}")  # pragma: no cover - argparse guards
 
 
 def _validate_runner_args(args: argparse.Namespace) -> int:
-    """Shared up-front checks of the runner knobs (--jobs/--chunksize/--output).
+    """Shared up-front checks of the runner knobs (--jobs/--output).
 
     Returns 0 when valid, else the exit code to return — checked before any
     work so a long run is not thrown away on a typo.
     """
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.chunksize < 1:
-        print("error: --chunksize must be >= 1", file=sys.stderr)
         return 2
     if args.output is not None and not Path(args.output).parent.is_dir():
         print(
@@ -739,8 +714,6 @@ def cmd_scenarios_run(args: argparse.Namespace) -> int:
 
     rows = matrix.run(
         jobs=args.jobs,
-        chunksize=args.chunksize,
-        mode=args.mode,
         retention=args.retention,
         engine=args.engine,
         output_path=args.output,
@@ -752,7 +725,7 @@ def cmd_scenarios_run(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"scenario grid: {matrix.name} — {matrix.num_cells} cells, "
-                f"{matrix.num_runs} runs (mode={args.mode}, jobs={args.jobs})"
+                f"{matrix.num_runs} runs (jobs={args.jobs})"
             ),
         )
     )
@@ -849,7 +822,7 @@ def cmd_search_run(args: argparse.Namespace) -> int:
         )
         space = get_space(space_name)
         config = BUDGETS[args.budget]
-        overrides = {"seed": args.seed, "jobs": args.jobs, "chunksize": args.chunksize}
+        overrides = {"seed": args.seed, "jobs": args.jobs}
         if args.generations is not None:
             overrides["generations"] = args.generations
         if args.population is not None:

@@ -102,18 +102,7 @@ def run_policies(
     )
 
 
-def _measurement(name: str, instance_name: str, result: SimulationResult) -> Dict[str, Any]:
-    """The raw per-(instance, policy) measurement dict shared by both task shapes."""
-    return {
-        "instance": instance_name,
-        "policy": name,
-        "total_weighted_latency": result.total_weighted_latency,
-        "num_slots": result.num_slots,
-        "fixed_link_fraction": result.fixed_link_fraction,
-    }
-
-
-def _comparison_multi_task(task: ExperimentTask) -> List[Dict[str, Any]]:
+def _comparison_task(task: ExperimentTask) -> List[Dict[str, Any]]:
     """Run all policies of one instance over a shared arrival stream."""
     instance: Instance = task.params["instance"]
     results = run_policies(
@@ -124,21 +113,15 @@ def _comparison_multi_task(task: ExperimentTask) -> List[Dict[str, Any]]:
         retention=task.params.get("retention", "full"),
     )
     return [
-        _measurement(name, instance.name, results[name])
+        {
+            "instance": instance.name,
+            "policy": name,
+            "total_weighted_latency": results[name].total_weighted_latency,
+            "num_slots": results[name].num_slots,
+            "fixed_link_fraction": results[name].fixed_link_fraction,
+        }
         for name in task.params["policies"]
     ]
-
-
-def _comparison_task(task: ExperimentTask) -> Dict[str, Any]:
-    """Run one (instance, policy) cell and return its raw measurements."""
-    result = run_policy(
-        task.params["instance"],
-        task.params["policy"],
-        speed=task.params["speed"],
-        max_slots=task.params["max_slots"],
-        retention=task.params.get("retention", "full"),
-    )
-    return _measurement(task.params["policy_name"], task.params["instance"].name, result)
 
 
 def _normalise_rows(measurements: Sequence[Dict[str, Any]]) -> List[PolicyComparisonRow]:
@@ -171,28 +154,21 @@ def compare_policies_on_instance(
     policies: Optional[Mapping[str, Policy]] = None,
     speed: float = 1.0,
     max_slots: int = 1_000_000,
-    jobs: int = 1,
     retention: str = "full",
-    shared_stream: bool = False,
 ) -> List[PolicyComparisonRow]:
     """Run every policy on ``instance`` and normalise costs to the paper's ALG.
 
     ``policies`` defaults to ``{"alg": OpportunisticLinkScheduler()}``; when a
     policy named ``"alg"`` is present its cost is the normalisation baseline,
-    otherwise the smallest cost is used.  ``jobs > 1`` runs the policies in
-    parallel worker processes; ``retention="aggregate"`` keeps each run's
-    memory bounded by the in-flight state; ``shared_stream=True`` evaluates
-    all policies in one :meth:`~repro.simulation.engine.SimulationEngine.run_multi`
-    pass over a shared arrival stream.  Rows are identical in every mode.
+    otherwise the smallest cost is used.  ``retention="aggregate"`` keeps the
+    run's memory bounded by the in-flight state.
     """
     return compare_policies_on_suite(
         {instance.name: instance},
         dict(policies) if policies else {"alg": OpportunisticLinkScheduler()},
         speed=speed,
         max_slots=max_slots,
-        jobs=jobs,
         retention=retention,
-        shared_stream=shared_stream,
     )
 
 
@@ -203,45 +179,27 @@ def compare_policies_on_suite(
     max_slots: int = 1_000_000,
     jobs: int = 1,
     retention: str = "full",
-    shared_stream: bool = False,
 ) -> List[PolicyComparisonRow]:
     """Run the full cross-product of instances × policies (optionally in parallel).
 
-    With ``shared_stream=False`` (default) every (instance, policy) cell is
-    its own runner task — the finest parallel granularity for ``jobs > 1``.
-    With ``shared_stream=True`` each *instance* is one task evaluating all
-    policies through a single shared-arrival engine pass — fewer tasks, one
-    stream materialisation per instance, bit-identical rows.
+    Each *instance* is one runner task evaluating all policies through a
+    single shared-arrival engine pass
+    (:meth:`~repro.simulation.engine.SimulationEngine.run_multi`), so
+    ``jobs > 1`` fans out over instances.  Every name needs its own policy
+    object; one object under two names fails with ``run_multi``'s error.
     """
     policies = dict(policies) if policies else {"alg": OpportunisticLinkScheduler()}
-    if shared_stream:
-        grid: List[Dict[str, Any]] = [
-            {
-                "instance": instance,
-                "policies": policies,
-                "speed": speed,
-                "max_slots": max_slots,
-                "retention": retention,
-            }
-            for instance in instances.values()
-        ]
-        spec = ExperimentSpec(
-            name="policy-comparison", task_fn=_comparison_multi_task, grid=grid
-        )
-    else:
-        grid = [
-            {
-                "instance": instance,
-                "policy": policy,
-                "policy_name": name,
-                "speed": speed,
-                "max_slots": max_slots,
-                "retention": retention,
-            }
-            for instance in instances.values()
-            for name, policy in policies.items()
-        ]
-        spec = ExperimentSpec(name="policy-comparison", task_fn=_comparison_task, grid=grid)
+    grid = [
+        {
+            "instance": instance,
+            "policies": policies,
+            "speed": speed,
+            "max_slots": max_slots,
+            "retention": retention,
+        }
+        for instance in instances.values()
+    ]
+    spec = ExperimentSpec(name="policy-comparison", task_fn=_comparison_task, grid=grid)
     measurements = run_experiment(spec, jobs=jobs)
 
     rows: List[PolicyComparisonRow] = []

@@ -190,11 +190,6 @@ class RunnerConfig:
     start_method:
         Optional :mod:`multiprocessing` start method (``"fork"``, ``"spawn"``,
         ``"forkserver"``); ``None`` uses the platform default.
-    chunksize:
-        Retained for API compatibility.  The fault-tolerant executor path
-        dispatches one task per submission so that per-task timeouts, retries
-        and crash recovery are possible; ``chunksize`` therefore no longer
-        batches IPC but is still validated.
     metrics_path:
         When set, the runner appends one ``{"record": "runner_heartbeat"}``
         JSONL line per completed task (task index, rows so far, elapsed
@@ -229,7 +224,6 @@ class RunnerConfig:
 
     jobs: int = 1
     start_method: Optional[str] = None
-    chunksize: int = 1
     metrics_path: Optional[str] = None
     timeout: Optional[float] = None
     retries: int = 0
@@ -240,8 +234,6 @@ class RunnerConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {self.chunksize}")
         if self.timeout is not None and not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
         if self.retries < 0:
@@ -612,16 +604,9 @@ def run_experiment(
     spec: ExperimentSpec,
     jobs: int = 1,
     output_path: Optional[Union[str, Path]] = None,
-    chunksize: int = 1,
 ) -> List[Any]:
-    """One-call convenience wrapper: run ``spec`` with ``jobs`` workers.
-
-    ``chunksize`` is retained for API compatibility (see
-    :class:`RunnerConfig`).
-    """
-    return ExperimentRunner(RunnerConfig(jobs=jobs, chunksize=chunksize)).run(
-        spec, output_path=output_path
-    )
+    """One-call convenience wrapper: run ``spec`` with ``jobs`` workers."""
+    return ExperimentRunner(RunnerConfig(jobs=jobs)).run(spec, output_path=output_path)
 
 
 # ---------------------------------------------------------------------- #

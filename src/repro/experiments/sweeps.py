@@ -15,7 +15,7 @@ row-for-row identical output to the serial run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.analysis.competitive import evaluate_competitive_ratio
 from repro.analysis.lp import solve_lp_lower_bound
@@ -86,7 +86,6 @@ def competitive_ratio_sweep(
     epsilons: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
     use_lp: bool = True,
     jobs: int = 1,
-    chunksize: int = 1,
 ) -> List[CompetitiveRatioRow]:
     """Measure ALG's empirical competitive ratio for several ε on several instances."""
     grid = [
@@ -95,7 +94,7 @@ def competitive_ratio_sweep(
         for epsilon in epsilons
     ]
     spec = ExperimentSpec(name="competitive-ratio", task_fn=_competitive_ratio_task, grid=grid)
-    return run_experiment(spec, jobs=jobs, chunksize=chunksize)
+    return run_experiment(spec, jobs=jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -134,7 +133,6 @@ def speedup_sweep(
     policy: Optional[Policy] = None,
     lp_horizon: Optional[int] = None,
     jobs: int = 1,
-    chunksize: int = 1,
 ) -> List[SpeedupRow]:
     """Run ALG at several speeds against the speed-1 LP lower bound.
 
@@ -155,7 +153,7 @@ def speedup_sweep(
         for speed in speeds
     ]
     spec = ExperimentSpec(name="speedup", task_fn=_speedup_task, grid=grid)
-    return run_experiment(spec, jobs=jobs, chunksize=chunksize)
+    return run_experiment(spec, jobs=jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -195,26 +193,7 @@ def _delay_pool_instance(task: ExperimentTask) -> Instance:
     )
 
 
-def _delay_row(pool: Sequence[int], name: str, result) -> DelaySweepRow:
-    return DelaySweepRow(
-        delay_pool="/".join(map(str, pool)),
-        policy=name,
-        total_weighted_latency=result.total_weighted_latency,
-        mean_completion_time=result.mean_flow_completion_time,
-    )
-
-
-def _delay_heterogeneity_task(task: ExperimentTask) -> DelaySweepRow:
-    """Build the delay-pool instance from its seeds and run one policy on it."""
-    result = run_policy(
-        _delay_pool_instance(task),
-        task.params["policy"],
-        retention=task.params.get("retention", "full"),
-    )
-    return _delay_row(task.params["pool"], task.params["policy_name"], result)
-
-
-def _delay_heterogeneity_multi_task(task: ExperimentTask) -> List[DelaySweepRow]:
+def _delay_heterogeneity_task(task: ExperimentTask) -> List[DelaySweepRow]:
     """Build one delay-pool instance and run every policy over its shared stream."""
     results = run_policies(
         _delay_pool_instance(task),
@@ -222,7 +201,12 @@ def _delay_heterogeneity_multi_task(task: ExperimentTask) -> List[DelaySweepRow]
         retention=task.params.get("retention", "full"),
     )
     return [
-        _delay_row(task.params["pool"], name, results[name])
+        DelaySweepRow(
+            delay_pool="/".join(map(str, task.params["pool"])),
+            policy=name,
+            total_weighted_latency=results[name].total_weighted_latency,
+            mean_completion_time=results[name].mean_flow_completion_time,
+        )
         for name in task.params["policies"]
     ]
 
@@ -235,24 +219,19 @@ def delay_heterogeneity_sweep(
     num_packets: int = 120,
     seed: int = 5,
     jobs: int = 1,
-    chunksize: int = 1,
     retention: str = "full",
-    shared_stream: bool = True,
 ) -> List[DelaySweepRow]:
     """Compare policies as the reconfigurable-edge delay distribution widens (E8).
 
-    With ``shared_stream=True`` (default) each delay pool is one task: its
-    instance is generated once and every policy runs over the shared arrival
-    stream via
+    Each delay pool is one task: its instance is generated once and every
+    policy runs over the shared arrival stream via
     :meth:`~repro.simulation.engine.SimulationEngine.run_multi`, so a sweep
     over ``P`` policies performs one workload generation per pool instead of
-    ``P``.  ``shared_stream=False`` restores one task per (pool, policy) —
-    finer ``jobs`` granularity.  Rows are identical either way.
+    ``P``.
     """
     seeds = SeedSequenceFactory(seed)
-
-    def pool_params(pool: Sequence[int]) -> Dict[str, object]:
-        return {
+    grid = [
+        {
             "pool": tuple(pool),
             "num_sources": num_sources,
             "num_destinations": num_destinations,
@@ -260,24 +239,14 @@ def delay_heterogeneity_sweep(
             "topo_seed": seeds.integer_seed("topo", tuple(pool)),
             "packets_seed": seeds.integer_seed("packets", tuple(pool)),
             "retention": retention,
+            "policies": dict(policies),
         }
-
-    if shared_stream:
-        grid = [
-            {**pool_params(pool), "policies": dict(policies)} for pool in delay_pools
-        ]
-        task_fn = _delay_heterogeneity_multi_task
-    else:
-        grid = [
-            {**pool_params(pool), "policy": policy, "policy_name": name}
-            for pool in delay_pools
-            for name, policy in policies.items()
-        ]
-        task_fn = _delay_heterogeneity_task
+        for pool in delay_pools
+    ]
     spec = ExperimentSpec(
-        name="delay-heterogeneity", task_fn=task_fn, grid=grid, seed=seed
+        name="delay-heterogeneity", task_fn=_delay_heterogeneity_task, grid=grid, seed=seed
     )
-    return run_experiment(spec, jobs=jobs, chunksize=chunksize)
+    return run_experiment(spec, jobs=jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -329,7 +298,6 @@ def hybrid_fixed_link_sweep(
     num_packets: int = 150,
     seed: int = 17,
     jobs: int = 1,
-    chunksize: int = 1,
     retention: str = "full",
 ) -> List[HybridSweepRow]:
     """Sweep the fixed-link delay of a hybrid fabric and measure ALG's offload split (E9).
@@ -354,7 +322,7 @@ def hybrid_fixed_link_sweep(
     spec = ExperimentSpec(
         name="hybrid-fixed-link", task_fn=_hybrid_fixed_link_task, grid=grid, seed=seed
     )
-    return run_experiment(spec, jobs=jobs, chunksize=chunksize)
+    return run_experiment(spec, jobs=jobs)
 
 
 # ---------------------------------------------------------------------- #
@@ -405,7 +373,6 @@ def two_tier_sweep(
     num_packets: int = 150,
     seed: int = 23,
     jobs: int = 1,
-    chunksize: int = 1,
     retention: str = "full",
 ) -> List[TierSweepRow]:
     """Vary the number of lasers/photodetectors per rack (E10).
@@ -428,4 +395,4 @@ def two_tier_sweep(
         for lasers in lasers_per_rack
     ]
     spec = ExperimentSpec(name="two-tier", task_fn=_two_tier_task, grid=grid, seed=seed)
-    return run_experiment(spec, jobs=jobs, chunksize=chunksize)
+    return run_experiment(spec, jobs=jobs)

@@ -14,12 +14,11 @@ The expansion chain is::
 
 Each cell builds its topology and workload from seeds derived *only* from
 the scenario name and the cell seed, so a scenario's rows are identical no
-matter which matrix (or grid, or jobs count) it runs in.  In the default
-``mode="shared"`` a cell evaluates all of its policies through
+matter which matrix (or grid, or jobs count) it runs in.  A cell is one
+runner task that evaluates all of its policies through
 :meth:`~repro.simulation.engine.SimulationEngine.run_multi` — one workload
-generation feeding every policy — while ``mode="per-policy"`` replays the
-historical architecture (one task per (cell, policy), each regenerating the
-instance) and produces bit-identical rows; benchmark E13 races the two.
+generation feeding every policy; benchmark E13 races it against a loop of
+one-policy runs that regenerates the instance per policy.
 """
 
 from __future__ import annotations
@@ -76,8 +75,6 @@ __all__ = [
     "resolve_weight_sampler",
     "resolve_policies",
 ]
-
-SCENARIO_MODES = ("shared", "per-policy")
 
 
 # ---------------------------------------------------------------------- #
@@ -348,8 +345,7 @@ class Scenario:
         The declarative recipes.
     policies:
         Policy names (see :func:`repro.baselines.all_policies`) raced on the
-        scenario; in shared mode they run through ``run_multi`` over one
-        arrival stream.
+        scenario; they run through ``run_multi`` over one arrival stream.
     speed:
         Engine speed augmentation.
     seeds:
@@ -508,7 +504,7 @@ def _fault_row_fields(
 
 
 def _scenario_cell_task(task: ExperimentTask) -> List[Dict[str, Any]]:
-    """Shared mode: one task per cell, all policies over one arrival stream."""
+    """One task per cell: all of its policies over one arrival stream."""
     scenario: Scenario = task.params["scenario"]
     seed: int = task.params["seed"]
     retention: str = task.params.get("retention", "full")
@@ -531,32 +527,6 @@ def _scenario_cell_task(task: ExperimentTask) -> List[Dict[str, Any]]:
         _fault_row_fields(_summary_row(scenario, seed, name, results[name]), faults, on_fail)
         for name in policies
     ]
-
-
-def _scenario_policy_task(task: ExperimentTask) -> Dict[str, Any]:
-    """Per-policy mode: one task per (cell, policy), regenerating the instance."""
-    scenario: Scenario = task.params["scenario"]
-    seed: int = task.params["seed"]
-    policy_name: str = task.params["policy_name"]
-    retention: str = task.params.get("retention", "full")
-    engine_mode: str = task.params.get("engine") or scenario.engine
-    topology, packets, policies = scenario.materialise(seed)
-    faults, on_fail = _resolve_cell_faults(scenario, task, topology, seed)
-    engine = SimulationEngine(
-        topology,
-        policies[policy_name],
-        EngineConfig(
-            speed=scenario.speed,
-            max_slots=scenario.max_slots,
-            retention=retention,
-            engine=engine_mode,
-            faults=faults,
-            on_fail=on_fail,
-        ),
-    )
-    return _fault_row_fields(
-        _summary_row(scenario, seed, policy_name, engine.run(packets)), faults, on_fail
-    )
 
 
 @dataclass(frozen=True)
@@ -599,19 +569,20 @@ class ScenarioMatrix:
     ) -> ExperimentSpec:
         """Expand the matrix into an :class:`ExperimentSpec`.
 
-        ``mode="shared"`` (default) makes one task per cell and evaluates all
-        of the cell's policies in a single ``run_multi`` pass;
-        ``mode="per-policy"`` makes one task per (cell, policy), each
-        rebuilding topology and workload — same rows, the pre-scenario
-        architecture.  ``engine`` overrides every scenario's hot-path backend
-        for dispatch and scheduling (``None`` keeps each scenario's own).
-        ``faults_seed`` injects a deterministic per-cell fault schedule into
-        every cell (overriding any scenario-level fault configuration) and
-        ``on_fail`` overrides the degradation policy.  Row order and
-        contents are identical across modes, engines and jobs counts.
+        Each cell is one task that evaluates all of the cell's policies in a
+        single ``run_multi`` pass; ``mode`` accepts only ``"shared"``, that
+        one task shape.  ``engine`` overrides every scenario's hot-path
+        backend for dispatch and scheduling (``None`` keeps each scenario's
+        own).  ``faults_seed`` injects a deterministic per-cell fault
+        schedule into every cell (overriding any scenario-level fault
+        configuration) and ``on_fail`` overrides the degradation policy.
+        Row order and contents are identical across engines and jobs counts.
         """
-        if mode not in SCENARIO_MODES:
-            raise ScenarioError(f"mode must be one of {SCENARIO_MODES}, got {mode!r}")
+        if mode != "shared":
+            raise ScenarioError(
+                f"mode must be 'shared', got {mode!r}; the per-policy mode was "
+                "removed (every cell runs its policies in one run_multi pass)"
+            )
         if engine is not None and engine not in ENGINE_MODES:
             raise ScenarioError(f"engine must be one of {ENGINE_MODES}, got {engine!r}")
         if on_fail is not None and on_fail not in ON_FAIL_MODES:
@@ -623,33 +594,17 @@ class ScenarioMatrix:
             common["faults_seed"] = faults_seed
         if on_fail is not None:
             common["on_fail"] = on_fail
-        if mode == "shared":
-            grid = [
-                {"scenario": scenario, "seed": seed, **common}
-                for scenario, seed in self.cells()
-            ]
-            return ExperimentSpec(
-                name=f"scenarios-{self.name}", task_fn=_scenario_cell_task, grid=grid
-            )
         grid = [
-            {
-                "scenario": scenario,
-                "seed": seed,
-                "policy_name": policy_name,
-                **common,
-            }
+            {"scenario": scenario, "seed": seed, **common}
             for scenario, seed in self.cells()
-            for policy_name in scenario.policies
         ]
         return ExperimentSpec(
-            name=f"scenarios-{self.name}", task_fn=_scenario_policy_task, grid=grid
+            name=f"scenarios-{self.name}", task_fn=_scenario_cell_task, grid=grid
         )
 
     def run(
         self,
         jobs: int = 1,
-        chunksize: int = 1,
-        mode: str = "shared",
         retention: str = "full",
         engine: Optional[str] = None,
         output_path: Optional[str] = None,
@@ -659,10 +614,9 @@ class ScenarioMatrix:
         """Run every cell and return one row per (scenario, seed, policy)."""
         return run_experiment(
             self.to_experiment_spec(
-                mode=mode, retention=retention, engine=engine,
+                retention=retention, engine=engine,
                 faults_seed=faults_seed, on_fail=on_fail,
             ),
             jobs=jobs,
-            chunksize=chunksize,
             output_path=output_path,
         )

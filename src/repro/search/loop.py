@@ -85,9 +85,9 @@ class SearchConfig:
         confidence filter takes the minimum across them).
     seed:
         Root seed of every init/select/mutate stream.
-    jobs, chunksize:
+    jobs:
         Experiment-runner fan-out for candidate evaluation (results are
-        identical for any values).
+        identical for any value).
     """
 
     population_size: int = 12
@@ -101,7 +101,6 @@ class SearchConfig:
     replicate_seeds: Tuple[int, ...] = (0, 1)
     seed: int = 0
     jobs: int = 1
-    chunksize: int = 1
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -118,8 +117,6 @@ class SearchConfig:
             raise SearchError("replicate_seeds must be non-empty")
         if self.jobs < 1:
             raise SearchError(f"jobs must be >= 1, got {self.jobs}")
-        if self.chunksize < 1:
-            raise SearchError(f"chunksize must be >= 1, got {self.chunksize}")
 
 
 #: Named budgets exposed by ``repro search run --budget``.
@@ -227,12 +224,14 @@ def _config_to_json(config: SearchConfig) -> Dict[str, Any]:
         "replicate_seeds": list(config.replicate_seeds),
         "seed": config.seed,
         "jobs": config.jobs,
-        "chunksize": config.chunksize,
     }
 
 
 def _config_from_json(data: Dict[str, Any]) -> SearchConfig:
     payload = dict(data)
+    # Checkpoints written before the runner dropped its no-op ``chunksize``
+    # knob still carry the key; it never changed a result.
+    payload.pop("chunksize", None)
     payload["replicate_seeds"] = tuple(payload["replicate_seeds"])
     return SearchConfig(**payload)
 
@@ -468,9 +467,7 @@ class AdversarialSearch:
                 ],
                 seed=self.config.seed,
             )
-            runner = ExperimentRunner(
-                RunnerConfig(jobs=self.config.jobs, chunksize=self.config.chunksize)
-            )
+            runner = ExperimentRunner(RunnerConfig(jobs=self.config.jobs))
             for row in runner.run(spec):
                 scores[row["key"]] = ObjectiveResult(
                     score=float(row["score"]),

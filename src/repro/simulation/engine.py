@@ -456,10 +456,6 @@ class _Recorder:
             order += 1
         self._next_finalize = order
 
-    def in_flight_packets(self) -> int:
-        """Packets dispatched to an edge but not yet delivered or dropped."""
-        return len(self._active)
-
 
 class _LaneFaults:
     """One lane's fault runtime: schedule cursor, fabric state, held chunks.
@@ -532,10 +528,7 @@ class _PolicyLane:
         "_stride",
         "_spans",
         "_hist_matching",
-        "_m_arrived",
-        "_m_fixed",
         "_m_chunks_dispatched",
-        "_m_chunks_matched",
         "_m_chunks_completed",
         "_m_skipped",
         "_m_peak_chunks",
@@ -598,10 +591,7 @@ class _PolicyLane:
             if self._obs_on
             else None
         )
-        self._m_arrived = 0
-        self._m_fixed = 0
         self._m_chunks_dispatched = 0
-        self._m_chunks_matched = 0
         self._m_chunks_completed = 0
         self._m_skipped = 0
         self._m_peak_chunks = 0
@@ -668,12 +658,8 @@ class _PolicyLane:
                 slot_trace,
                 self._topology,
             )
-            if obs_on:
-                self._m_arrived += 1
-                if assignment.uses_fixed_link:
-                    self._m_fixed += 1
-                else:
-                    self._m_chunks_dispatched += len(assignment.chunks)
+            if obs_on and not assignment.uses_fixed_link:
+                self._m_chunks_dispatched += len(assignment.chunks)
         if obs_on:
             occupancy = len(pool)
             if occupancy > self._m_peak_chunks:
@@ -704,7 +690,6 @@ class _PolicyLane:
         if slot_trace is not None:
             slot_trace.matching = [chunk.edge for chunk in matching]
         if obs_on:
-            self._m_chunks_matched += size
             self._hist_matching.observe(size)
             chunks_before = len(pool)
 
@@ -896,16 +881,16 @@ class _PolicyLane:
         metrics = self.engine.metrics
         if not metrics.enabled:
             return
-        dropped = self._summary.num_dropped
-        metrics.counter("engine_packets_arrived", policy=name).inc(self._m_arrived)
-        metrics.counter("engine_packets_fixed_link", policy=name).inc(self._m_fixed)
-        metrics.counter("engine_packets_delivered", policy=name).inc(
-            self._m_arrived - self.recorder.in_flight_packets() - dropped
+        summary = self._summary
+        metrics.counter("engine_packets_arrived", policy=name).inc(summary.num_packets)
+        metrics.counter("engine_packets_fixed_link", policy=name).inc(
+            summary.num_fixed_link
         )
+        metrics.counter("engine_packets_delivered", policy=name).inc(summary.num_delivered)
         metrics.counter("engine_chunks_dispatched", policy=name).inc(
             self._m_chunks_dispatched
         )
-        metrics.counter("engine_chunks_matched", policy=name).inc(self._m_chunks_matched)
+        metrics.counter("engine_chunks_matched", policy=name).inc(summary.matching_total)
         metrics.counter("engine_chunks_completed", policy=name).inc(
             self._m_chunks_completed
         )
@@ -951,7 +936,7 @@ class _PolicyLane:
             metrics.counter("engine_chunks_redispatched", policy=name).inc(
                 faults.redispatched
             )
-            metrics.counter("engine_packets_dropped", policy=name).inc(dropped)
+            metrics.counter("engine_packets_dropped", policy=name).inc(summary.num_dropped)
 
 
 class SimulationEngine:

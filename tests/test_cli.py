@@ -216,9 +216,6 @@ class TestSweepCommand:
     def test_invalid_jobs(self):
         assert main(["sweep", "--experiment", "tiers", "--jobs", "0"]) == 2
 
-    def test_invalid_chunksize(self):
-        assert main(["sweep", "--experiment", "tiers", "--chunksize", "0"]) == 2
-
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--experiment", "nope"])
@@ -249,12 +246,13 @@ class TestScenariosCommand:
         assert "scenario grid: smoke" in out and "priority-inversion-burst" in out
 
     def test_run_modes_and_jobs_agree(self, capsys):
-        assert main(["scenarios", "run", "--scenario", "tiny-random"]) == 0
-        shared = capsys.readouterr().out.splitlines()[1:]  # drop the title line
         assert main(["scenarios", "run", "--scenario", "tiny-random",
-                     "--mode", "per-policy", "--jobs", "2"]) == 0
-        per_policy = capsys.readouterr().out.splitlines()[1:]
-        assert shared == per_policy
+                     "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out.splitlines()[1:]  # drop the title line
+        assert main(["scenarios", "run", "--scenario", "tiny-random",
+                     "--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out.splitlines()[1:]
+        assert serial == parallel
 
     def test_run_engines_agree(self, capsys):
         """--engine reference and --engine indexed print identical rows."""

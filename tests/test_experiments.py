@@ -9,6 +9,7 @@ import pytest
 from repro.baselines import standard_baselines
 from repro.core import OpportunisticLinkScheduler
 from repro.experiments import (
+    PolicyComparisonRow,
     compare_policies_on_instance,
     compare_policies_on_suite,
     competitive_ratio_sweep,
@@ -19,6 +20,7 @@ from repro.experiments import (
     hybrid_instance,
     rows_to_csv,
     rows_to_table,
+    run_policy,
     small_lp_instances,
     speedup_sweep,
     standard_projector_instances,
@@ -86,6 +88,42 @@ class TestComparison:
         policies = {"alg": OpportunisticLinkScheduler()}
         rows = compare_policies_on_suite(two, policies)
         assert {r.instance for r in rows} == {"uniform", "incast"}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_suite_rows_equal_a_per_policy_loop(self, tiny_suite, jobs):
+        """One task per instance gives the rows of one run per (instance, policy)."""
+        two = {k: tiny_suite[k] for k in ("uniform", "incast")}
+
+        def fresh_policies():
+            return {"alg": OpportunisticLinkScheduler(), **standard_baselines(seed=0)}
+
+        expected = []
+        for instance in two.values():
+            results = {
+                name: run_policy(instance, policy)
+                for name, policy in fresh_policies().items()
+            }
+            baseline = results["alg"].total_weighted_latency
+            expected.extend(sorted(
+                (
+                    PolicyComparisonRow(
+                        instance=instance.name,
+                        policy=name,
+                        total_weighted_latency=result.total_weighted_latency,
+                        ratio_to_alg=result.total_weighted_latency / baseline,
+                        num_slots=result.num_slots,
+                        fixed_link_fraction=result.fixed_link_fraction,
+                    )
+                    for name, result in results.items()
+                ),
+                key=lambda row: row.total_weighted_latency,
+            ))
+        assert compare_policies_on_suite(two, fresh_policies(), jobs=jobs) == expected
+
+    def test_one_policy_object_under_two_names_raises(self, tiny_suite):
+        alg = OpportunisticLinkScheduler()
+        with pytest.raises(ExperimentError, match="distinct policy object"):
+            compare_policies_on_instance(tiny_suite["uniform"], {"a": alg, "b": alg})
 
     def test_format_table(self, tiny_suite):
         rows = compare_policies_on_instance(tiny_suite["uniform"])

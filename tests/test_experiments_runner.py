@@ -85,8 +85,6 @@ class TestRunner:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             RunnerConfig(jobs=0)
-        with pytest.raises(ValueError):
-            RunnerConfig(chunksize=0)
 
     def test_runner_writes_json(self, tmp_path):
         spec = _make_spec(2)

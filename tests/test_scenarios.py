@@ -25,7 +25,7 @@ from repro.scenarios import (
     scenario_matrix,
     scenario_names,
 )
-from repro.simulation import ENGINE_MODES, EngineConfig, SimulationEngine
+from repro.simulation import ENGINE_MODES, EngineConfig, SimulationEngine, simulate
 from repro.utils.rng import as_rng
 from repro.workloads import (
     contention_hotspot_workload,
@@ -147,6 +147,10 @@ class TestMatrix:
         with pytest.raises(ScenarioError, match="mode"):
             grid_matrix("smoke").to_experiment_spec(mode="telepathic")
 
+    def test_per_policy_mode_was_removed(self):
+        with pytest.raises(ScenarioError, match="per-policy mode was removed"):
+            grid_matrix("smoke").to_experiment_spec(mode="per-policy")
+
     def test_rows_are_grid_composition_invariant(self):
         """A scenario's rows do not depend on which matrix runs it."""
         alone = scenario_matrix(["tiny-random"], name="solo").run()
@@ -171,7 +175,18 @@ class TestMatrix:
         default = matrix.run()  # scenario default ("indexed")
         indexed = matrix.run(engine="indexed")
         reference = matrix.run(engine="reference")
-        per_policy_reference = matrix.run(engine="reference", mode="per-policy")
+        per_policy_reference = []
+        for scenario, seed in matrix.cells():
+            for name in scenario.policies:
+                topology, packets, policies = scenario.materialise(seed)
+                result = simulate(
+                    topology, policies[name], packets, speed=scenario.speed,
+                    max_slots=scenario.max_slots, engine="reference",
+                )
+                per_policy_reference.append({
+                    "scenario": scenario.name, "seed": seed, "policy": name,
+                    "speed": scenario.speed, **result.summary(),
+                })
         assert default == indexed == reference == per_policy_reference
 
     def test_invalid_engine_rejected(self):

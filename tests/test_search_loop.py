@@ -117,6 +117,26 @@ class TestCheckpointResume:
         assert resumed.hall_of_fame == small_run.hall_of_fame
         assert resumed.best_history == small_run.best_history
 
+    def test_checkpoint_carrying_chunksize_resumes(self, small_run, tmp_path):
+        """Checkpoints written while the runner still had a ``chunksize`` knob
+        carry it in their meta config; resume drops it and continues
+        bit-identically."""
+        checkpoint = tmp_path / "ck.jsonl"
+        AdversarialSearch(
+            adversarial_space(),
+            EmpiricalRatioObjective(),
+            dataclasses.replace(SMALL, generations=1),
+        ).run(checkpoint_path=checkpoint)
+        meta, *generations = checkpoint.read_text().splitlines()
+        record = json.loads(meta)
+        record["config"]["chunksize"] = 4
+        checkpoint.write_text(
+            "\n".join([json.dumps(record, sort_keys=True), *generations]) + "\n"
+        )
+        _search, resumed = resume_search(checkpoint, generations=SMALL.generations)
+        assert resumed.hall_of_fame == small_run.hall_of_fame
+        assert resumed.best_history == small_run.best_history
+
     def test_resume_does_not_reevaluate_cached_candidates(self, tmp_path):
         checkpoint = tmp_path / "ck.jsonl"
         AdversarialSearch(
@@ -204,8 +224,6 @@ class TestCheckpointResume:
     def test_invalid_jobs_rejected_at_config_time(self):
         with pytest.raises(SearchError, match="jobs"):
             SearchConfig(jobs=0)
-        with pytest.raises(SearchError, match="chunksize"):
-            SearchConfig(chunksize=0)
 
     def test_corrupt_and_missing_checkpoints_raise(self, tmp_path):
         with pytest.raises(SearchError, match="does not exist"):
