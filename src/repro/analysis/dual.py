@@ -23,7 +23,7 @@ is therefore a valid lower bound on the slowed-down OPT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.exceptions import AnalysisError

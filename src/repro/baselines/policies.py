@@ -8,7 +8,7 @@ the contribution of each can be measured separately.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.baselines.dispatchers import (
     DirectFirstDispatcher,

@@ -68,9 +68,10 @@ One entry and one ``eval`` per run
 A packet dispatched to edge ``e`` becomes ``d(e)`` chunks with the same edge,
 weight and eligibility time, so they activate together as a *run*:
 consecutive entries in the priority order (their keys differ only in the
-chunk index).  Each port list holds the run as one
-:class:`~repro.core.packet.ChunkRun` entry keyed by its head, the only chunk
-of the run that can be matched, and only the head gets an ``eval`` task.
+chunk index).  Each port list holds the pool's own
+:class:`~repro.core.packet.ChunkRun` entry for the run, keyed by its head,
+the only chunk of the run that can be matched; only the head gets an
+``eval`` task.
 Every later chunk of the run shares both ports with the head and ranks
 below it, so when the head is evaluated either
 
@@ -83,12 +84,13 @@ their own evals would have found.  Any later release of those ports pushes a
 scan from the releaser's key, which ranks above the whole run.  If the head
 leaves before its ``eval`` runs, the run's next chunk is decided in its place.
 
-When a head that is not its run's last chunk leaves, the entry stays in
-place under the next chunk, which is the next entry on both ports: if the
-head was matched and no task is pending, the run keeps both ports (the
-handover, by construction).  With a task pending the removal rule runs.
-Only a run's last chunk deletes the entry.  A chunk leaving from behind its
-run's head is unmatched; the chunks after it get an entry and an ``eval``.
+When a head that is not its run's last chunk leaves, the pool moves the
+entry's head to the next chunk, the next entry on both ports: if the head
+was matched and no task is pending, the run keeps both ports (the handover,
+by construction).  With a task pending the removal rule runs.  Only a run's
+last chunk deletes the entry, and the pool empties its chunk list so a
+queued ``eval`` does nothing.  A chunk leaving from behind its run's head
+is unmatched; the pool activates the chunks after it as a new entry.
 
 Runs are stored per *port*: every transmitter and every receiver keeps its
 eligible run entries sorted by key, a total order computed once per chunk
@@ -120,7 +122,6 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.packet import Chunk, ChunkRun
-from repro.exceptions import SimulationError
 
 __all__ = ["MatchingIndex"]
 
@@ -144,16 +145,30 @@ def _insert(lists: Dict[str, List[ChunkRun]], port: str, run: ChunkRun) -> None:
         existing.insert(bisect_left(existing, run.key, key=_key), run)
 
 
+def _delete(
+    lists: Dict[str, List[ChunkRun]], port: str, key: _Key
+) -> Tuple[List[ChunkRun], int]:
+    """Delete the entry keyed ``key`` from ``port``'s list; return the list
+    and the entry's old position."""
+    entries = lists[port]
+    pos = bisect_left(entries, key, key=_key)
+    del entries[pos]
+    if not entries:
+        del lists[port]
+    return entries, pos
+
+
 class MatchingIndex:
     """Maintains the greedy stable matching of an *eligible* chunk set under deltas.
 
-    The owning :class:`~repro.core.queues.PendingChunkPool` notifies the index
-    through :meth:`activate` (a run became eligible — freshly added or
-    promoted from a future-activation bucket) and :meth:`discard` (an eligible
-    chunk left the pool).  Repair work is deferred: events only push tasks
-    (a handover needs none and settles at once), and :meth:`current_matching`
-    drains the task heap before reporting, so a burst of completions and
-    arrivals between two slots is settled in one priority-ordered pass.
+    The owning :class:`~repro.core.queues.PendingChunkPool` passes its own
+    run entries through three events: :meth:`activate` (a run became
+    eligible), :meth:`head_left` (a run's head left and the run goes on) and
+    :meth:`run_left` (a run's last chunk left).  Repair work is deferred:
+    events only push tasks (a handover needs none and settles at once), and
+    :meth:`current_matching` drains the task heap before reporting, so a
+    burst of completions and arrivals between two slots is settled in one
+    priority-ordered pass.
     """
 
     __slots__ = (
@@ -161,7 +176,6 @@ class MatchingIndex:
         "_rx_runs",
         "_tx_owner",
         "_rx_owner",
-        "_run_of",
         "_tasks",
         "_seq",
         "_tasks_done",
@@ -178,8 +192,6 @@ class MatchingIndex:
         # runs own ports, so the transmitter owners are the matching.
         self._tx_owner: Dict[str, ChunkRun] = {}
         self._rx_owner: Dict[str, ChunkRun] = {}
-        # Eligible chunk → its run entry.
-        self._run_of: Dict[Chunk, ChunkRun] = {}
         # Pending repair tasks: (priority key, seq, kind, payload).  The seq
         # makes entries unique so kinds/payloads are never compared.
         self._tasks: List[Tuple[_Key, int, int, object]] = []
@@ -192,80 +204,46 @@ class MatchingIndex:
     # ------------------------------------------------------------------ #
     # events (pushed by the pool)
     # ------------------------------------------------------------------ #
-    def activate(self, *run: Chunk) -> None:
-        """Track a run of chunks that just became eligible.
+    def activate(self, run: ChunkRun) -> None:
+        """Track a run entry that just became eligible: both port lists and
+        one ``eval`` task (the pool has rejected duplicate chunks)."""
+        _insert(self._tx_runs, run.transmitter, run)
+        _insert(self._rx_runs, run.receiver, run)
+        self._push(run.key, _EVAL, run)
 
-        A run is consecutive chunks of one packet on one edge (a single chunk
-        is a run of one); the pool activates each packet's chunks as one.
-        The run takes one entry per port list and one ``eval`` task: see
-        the module docstring.
-        """
-        run_of = self._run_of
-        for chunk in run:
-            if chunk in run_of:
-                raise SimulationError(f"chunk {chunk!r} is already tracked by the matching index")
-        entry = ChunkRun(list(run))
-        for chunk in run:
-            run_of[chunk] = entry
-        _insert(self._tx_runs, entry.transmitter, entry)
-        _insert(self._rx_runs, entry.receiver, entry)
-        self._push(entry.key, _EVAL, entry)
-
-    def discard(self, chunk: Chunk) -> None:
-        """Stop tracking an eligible chunk that left the pool.
-
-        Ignores chunks the index never saw (e.g. a future-bucket chunk being
-        removed before its activation time), so the pool can forward every
-        removal unconditionally.
-        """
-        run = self._run_of.pop(chunk, None)
-        if run is None:
+    def head_left(self, run: ChunkRun, key: _Key) -> None:
+        """A run's head of priority ``key`` left; the pool has moved the
+        entry's head and key to the run's next chunk."""
+        if self._tx_owner.get(run.transmitter) is not run:
             return
-        chunks = run.chunks
-        if chunks[0] is not chunk:
-            # Behind the head, so unmatched: nothing changes hands.
-            rest = run.cut(chunk)
-            for later in rest:
-                del self._run_of[later]
-            if rest:
-                self.activate(*rest)
+        if not self._tasks:
+            # Handover by construction: the run keeps both ports.
+            self._handovers += 1
             return
+        self._release(run, key)
+
+    def run_left(self, run: ChunkRun) -> None:
+        """A tracked run's last chunk left: the entry leaves both port lists."""
         key = run.key
-        del chunks[0]
         tx, rx = run.transmitter, run.receiver
-        if chunks:
-            # The entry stays in place, headed by the run's next chunk.
-            run.key = chunks[0].key
-            if self._tx_owner.get(tx) is not run:
-                return
-            if not self._tasks:
-                # Handover by construction: the run keeps both ports.
+        # The positions are kept: after the deletion they hold the successors.
+        tx_entries, tx_pos = _delete(self._tx_runs, tx, key)
+        rx_entries, rx_pos = _delete(self._rx_runs, rx, key)
+        if self._tx_owner.get(tx) is not run:
+            return
+        if not self._tasks and tx_pos < len(tx_entries) and rx_pos < len(rx_entries):
+            successor = tx_entries[tx_pos]
+            if successor is rx_entries[rx_pos]:
+                # Handover rule: the next entry on both ports takes them both.
+                self._tx_owner[tx] = self._rx_owner[rx] = successor
                 self._handovers += 1
                 return
-        else:
-            # The run's last chunk: the entry leaves both port lists.  The
-            # positions are kept: after the deletion they hold the successors.
-            tx_entries = self._tx_runs[tx]
-            tx_pos = bisect_left(tx_entries, key, key=_key)
-            del tx_entries[tx_pos]
-            if not tx_entries:
-                del self._tx_runs[tx]
-            rx_entries = self._rx_runs[rx]
-            rx_pos = bisect_left(rx_entries, key, key=_key)
-            del rx_entries[rx_pos]
-            if not rx_entries:
-                del self._rx_runs[rx]
-            if self._tx_owner.get(tx) is not run:
-                return
-            if not self._tasks and tx_pos < len(tx_entries) and rx_pos < len(rx_entries):
-                successor = tx_entries[tx_pos]
-                if successor is rx_entries[rx_pos]:
-                    # Handover rule: the next entry on both ports takes them both.
-                    self._tx_owner[tx] = self._rx_owner[rx] = successor
-                    self._handovers += 1
-                    return
-        # Removal rule: only lower-priority chunks on the two freed ports can
-        # flip status — scan each port from the removed chunk's key.
+        self._release(run, key)
+
+    def _release(self, run: ChunkRun, key: _Key) -> None:
+        """Removal rule: only lower-priority chunks on the two freed ports can
+        flip status — scan each port from the removed chunk's ``key``."""
+        tx, rx = run.transmitter, run.receiver
         del self._tx_owner[tx]
         del self._rx_owner[rx]
         self._push(key, _SCAN_TX, (tx, None))
@@ -277,7 +255,6 @@ class MatchingIndex:
         self._rx_runs.clear()
         self._tx_owner.clear()
         self._rx_owner.clear()
-        self._run_of.clear()
         self._tasks.clear()
         self._tasks_done = 0
         self._evictions = 0
@@ -309,9 +286,6 @@ class MatchingIndex:
         """
         self._drain()
         return [run.chunks[0] for run in sorted(self._tx_owner.values(), key=_key)]
-
-    def __len__(self) -> int:
-        return len(self._run_of)
 
     # ------------------------------------------------------------------ #
     # repair machinery

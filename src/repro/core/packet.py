@@ -171,8 +171,10 @@ class ChunkRun:
 
     No other chunk's key lies between the run's keys, so the entry sorts by
     ``key``, its first pending chunk's (the head's).  When the head leaves,
-    its holder moves ``key`` to the next chunk and every list stays sorted.
-    The pool caches ``impact_hash`` here (see its impact fingerprint).
+    the pool moves ``key`` to the next chunk and every list stays sorted;
+    when the last chunk leaves, it empties ``chunks``.  The pool's sorted
+    structures and its matching index share this one entry.  The pool caches
+    ``impact_hash`` here (see its impact fingerprint).
     """
 
     __slots__ = ("chunks", "key", "transmitter", "receiver", "impact_hash")
@@ -183,15 +185,6 @@ class ChunkRun:
         self.key = head.key
         self.transmitter = head.transmitter
         self.receiver = head.receiver
-
-    def cut(self, chunk: Chunk) -> List[Chunk]:
-        """Take ``chunk``, not the head, out of the run; return the chunks
-        after it, which must become a run of their own."""
-        chunks = self.chunks
-        pos = chunks.index(chunk)
-        rest = chunks[pos + 1:]
-        del chunks[pos:]
-        return rest
 
 
 @dataclass

@@ -15,13 +15,15 @@ weight and eligibility time, whose keys differ only in the chunk index.  No
 other key falls between them, so every sorted structure (the edge queue, the
 eligible set and views, the future buckets and the matching index's port
 lists) holds such a *run* as one :class:`~repro.core.packet.ChunkRun` entry,
-sorted by its head's key.  :meth:`PendingChunkPool.add_all` admits each run
-with one bisect per structure (:meth:`~PendingChunkPool.add` is a run of
-one).  :meth:`~PendingChunkPool.remove` takes one chunk: unless it is its
-run's last, the entry stays in place and its head moves to the run's next
-chunk, so nothing is bisected or deleted.  A chunk taken from behind its
-run's head splits the chunks after it off as a new entry.  Checks and
-counters stay per chunk, in the same order, so every float is unchanged.
+sorted by its head's key; the matching index holds these same entries.
+:meth:`PendingChunkPool.add_all` admits each run with one bisect per
+structure (:meth:`~PendingChunkPool.add` is a run of one).
+:meth:`~PendingChunkPool.remove` takes one chunk: unless it is its run's
+last, the entry stays in place and its head moves to the run's next chunk.
+The last chunk unlinks the entry and empties its chunk list.  A chunk taken
+from behind its run's head splits the chunks after it off as a new entry.
+Checks and counters stay per chunk, in the same order, so every float is
+unchanged.
 
 Two peer sets per port (the receivers a transmitter has pending chunks
 towards, and the transmitters feeding a receiver) record which edge queues
@@ -155,10 +157,11 @@ class PendingChunkPool:
 
     With ``matching_index=True`` the pool also maintains a
     :class:`~repro.core.matching_index.MatchingIndex` over its *eligible*
-    chunks: every activation and removal is forwarded as a repair event, so
-    the stable-matching scheduler can read the current greedy stable matching
-    incrementally instead of recomputing it from scratch each slot.  Like the
-    impact index it can be enabled later with :meth:`enable_matching_index`.
+    run entries: every activation and removal is forwarded as a repair
+    event, so the stable-matching scheduler can read the current greedy
+    stable matching incrementally instead of recomputing it from scratch each
+    slot.  Like the impact index it can be enabled later with
+    :meth:`enable_matching_index`.
     """
 
     def __init__(self, *, impact_index: bool = False, matching_index: bool = False) -> None:
@@ -231,8 +234,6 @@ class PendingChunkPool:
         if self._impact_index is not None:
             self._impact_index.add(head, len(chunks))
         self._place(run, head.eligible_time)
-        if self._matching_index is not None and head.eligible_time <= self._eligible_through:
-            self._matching_index.activate(*chunks)
 
     def _place(self, run: ChunkRun, eligible_time: int) -> None:
         """Put a new run entry into its edge queue and its eligibility partition."""
@@ -267,16 +268,21 @@ class PendingChunkPool:
         if self._impact_index is not None:
             self._impact_index.discard(chunk)
         eligible = chunk.eligible_time <= self._eligible_through
-        if eligible and self._matching_index is not None:
-            self._matching_index.discard(chunk)
+        index = self._matching_index if eligible else None
         chunks = run.chunks
         if len(chunks) > 1:
             # Not the run's last chunk: the entry stays where it is.
             if chunks[0] is chunk:
+                key = run.key
                 del chunks[0]
                 run.key = chunks[0].key
+                if index is not None:
+                    index.head_left(run, key)
                 return
-            rest = run.cut(chunk)
+            # Behind the head, so unmatched: the chunks after it are a new entry.
+            pos = chunks.index(chunk)
+            rest = chunks[pos + 1:]
+            del chunks[pos:]
             if rest:
                 tail = ChunkRun(rest)
                 tail.impact_hash = run.impact_hash
@@ -304,6 +310,11 @@ class PendingChunkPool:
             del self._by_edge[(tx, rx)]
             _drop_peer(self._tx_peers, tx, rx)
             _drop_peer(self._rx_peers, rx, tx)
+        # Emptied after every unlink (the FIFO key reads the head), so an
+        # ``eval`` the matching index still holds for the entry does nothing.
+        chunks.clear()
+        if index is not None:
+            index.run_left(run)
 
     def clear(self) -> None:
         """Remove every chunk from the pool."""
@@ -350,7 +361,7 @@ class PendingChunkPool:
         if self._matching_index is None:
             index = MatchingIndex()
             for run in sorted(self._eligible_set, key=_key):
-                index.activate(*run.chunks)
+                index.activate(run)
             self._matching_index = index
         return self._matching_index
 
@@ -358,12 +369,14 @@ class PendingChunkPool:
     # eligibility partition
     # ------------------------------------------------------------------ #
     def _activate(self, run: ChunkRun) -> None:
-        """Move a run entry into the eligible partition's iteration structures."""
+        """Move a run entry into the eligible partition and the matching index."""
         self._eligible_set.add(run)
         if self._eligible is not None:
             _insert(self._eligible, run)
         if self._eligible_fifo is not None:
             _insert(self._eligible_fifo, run, _fifo_key)
+        if self._matching_index is not None:
+            self._matching_index.activate(run)
 
     def _sorted_eligible(self) -> List[ChunkRun]:
         """The priority-ordered view of the eligible set, built on first use."""
@@ -377,13 +390,10 @@ class PendingChunkPool:
             return
         self._eligible_through = now
         times = self._future_times
-        index = self._matching_index
         while times and times[0] <= now:
             due = heappop(times)
             for run in self._future.pop(due, ()):
                 self._activate(run)
-                if index is not None:
-                    index.activate(*run.chunks)
 
     @property
     def eligible_through(self) -> int:

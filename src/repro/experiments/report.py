@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 from repro.exceptions import ExperimentError
 from repro.utils.tables import format_csv, format_table

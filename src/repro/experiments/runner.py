@@ -67,6 +67,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import multiprocessing
+import reprlib
 import time
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -248,6 +249,12 @@ class RunnerConfig:
             )
 
 
+#: Shortens task params in failure messages: a comparison task's params hold
+#: a whole instance, whose full repr grows with its packet count.
+_PARAMS_REPR = reprlib.Repr()
+_PARAMS_REPR.maxlevel, _PARAMS_REPR.maxdict, _PARAMS_REPR.maxother = 2, 16, 60
+
+
 def _execute_task(task_fn: TaskFn, task: ExperimentTask) -> List[Any]:
     """Evaluate one task and normalise its output to a list of rows."""
     try:
@@ -255,7 +262,7 @@ def _execute_task(task_fn: TaskFn, task: ExperimentTask) -> List[Any]:
     except Exception as exc:  # re-raise with grid context, keep the original chained
         raise ExperimentError(
             f"task {task.index} of experiment {task.spec_name!r} failed "
-            f"(params={task.params!r}): {exc}"
+            f"(params={_PARAMS_REPR.repr(task.params)}): {type(exc).__name__}: {exc}"
         ) from exc
     if output is None:
         return []
@@ -546,7 +553,7 @@ class ExperimentRunner:
                     return
                 raise ExperimentError(
                     f"task {index} of experiment {spec.name!r} {reason} after "
-                    f"{attempts[index] + 1} attempt(s) (params={task.params!r})"
+                    f"{attempts[index] + 1} attempt(s) (params={_PARAMS_REPR.repr(task.params)})"
                 )
             attempts[index] += 1
             self._backoff(attempts[index])

@@ -19,7 +19,7 @@ from typing import List, Mapping, Optional, Sequence
 
 from repro.analysis.competitive import evaluate_competitive_ratio
 from repro.analysis.lp import solve_lp_lower_bound
-from repro.core.algorithm import OpportunisticLinkScheduler, theoretical_competitive_ratio
+from repro.core.algorithm import OpportunisticLinkScheduler
 from repro.core.interfaces import Policy
 from repro.experiments.comparison import run_policies, run_policy
 from repro.experiments.runner import ExperimentSpec, ExperimentTask, run_experiment

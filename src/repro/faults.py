@@ -32,7 +32,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.exceptions import FaultError
 from repro.utils.rng import SeedSequenceFactory

@@ -53,16 +53,18 @@ def single_tier_crossbar(
         Uniform reconfigurable-edge delay ``d(e)`` (default 1).
     """
     n = check_positive_int(num_ports, "num_ports")
+    transmitters = [f"t{i}" for i in range(n)]
+    receivers = [f"r{i}" for i in range(n)]
     topo = TwoTierTopology(name=name)
     for i in range(n):
         topo.add_source(f"s{i}")
         topo.add_destination(f"d{i}")
     for i in range(n):
-        topo.add_transmitter(f"t{i}", f"s{i}")
-        topo.add_receiver(f"r{i}", f"d{i}")
-    for i in range(n):
-        for j in range(n):
-            topo.add_reconfigurable_edge(f"t{i}", f"r{j}", delay=delay)
+        topo.add_transmitter(transmitters[i], f"s{i}")
+        topo.add_receiver(receivers[i], f"d{i}")
+    for t in transmitters:
+        for r in receivers:
+            topo.add_reconfigurable_edge(t, r, delay=delay)
     return topo.freeze()
 
 
@@ -112,24 +114,24 @@ def projector_fabric(
     p_connect = check_probability(connectivity, "connectivity")
     rng = as_rng(seed)
 
+    # Each port name is built once and passed to every edge that uses it.
+    lasers_of = [[f"rack{i}:laser{l}" for l in range(lasers)] for i in range(racks)]
+    photos_of = [[f"rack{i}:photo{p}" for p in range(photos)] for i in range(racks)]
     topo = TwoTierTopology(name=name)
     for i in range(racks):
         topo.add_source(f"rack{i}:src")
         topo.add_destination(f"rack{i}:dst")
     for i in range(racks):
-        for l in range(lasers):
-            topo.add_transmitter(f"rack{i}:laser{l}", f"rack{i}:src", head_delay=head_delay)
-        for p in range(photos):
-            topo.add_receiver(f"rack{i}:photo{p}", f"rack{i}:dst", tail_delay=tail_delay)
+        for laser in lasers_of[i]:
+            topo.add_transmitter(laser, f"rack{i}:src", head_delay=head_delay)
+        for photo in photos_of[i]:
+            topo.add_receiver(photo, f"rack{i}:dst", tail_delay=tail_delay)
 
     for i in range(racks):
         for j in range(racks):
             if i == j:
                 continue
-            pair_edges = []
-            for l in range(lasers):
-                for p in range(photos):
-                    pair_edges.append((f"rack{i}:laser{l}", f"rack{j}:photo{p}"))
+            pair_edges = [(laser, photo) for laser in lasers_of[i] for photo in photos_of[j]]
             if p_connect >= 1.0:
                 chosen = pair_edges
             else:
@@ -177,23 +179,23 @@ def random_bipartite(
         raise TopologyError(f"delay_choices must be non-empty integers >= 1, got {delay_choices!r}")
     rng = as_rng(seed)
 
+    transmitters_of = [[f"s{i}:t{k}" for k in range(tps)] for i in range(ns)]
+    receivers_of = [[f"d{j}:r{k}" for k in range(rpd)] for j in range(nd)]
     topo = TwoTierTopology(name=name)
     for i in range(ns):
         topo.add_source(f"s{i}")
     for j in range(nd):
         topo.add_destination(f"d{j}")
-    for i in range(ns):
-        for k in range(tps):
-            topo.add_transmitter(f"s{i}:t{k}", f"s{i}")
-    for j in range(nd):
-        for k in range(rpd):
-            topo.add_receiver(f"d{j}:r{k}", f"d{j}")
+    for i, transmitters in enumerate(transmitters_of):
+        for t in transmitters:
+            topo.add_transmitter(t, f"s{i}")
+    for j, receivers in enumerate(receivers_of):
+        for r in receivers:
+            topo.add_receiver(r, f"d{j}")
 
-    for i in range(ns):
-        for j in range(nd):
-            pair_edges = [
-                (f"s{i}:t{a}", f"d{j}:r{b}") for a in range(tps) for b in range(rpd)
-            ]
+    for transmitters in transmitters_of:
+        for receivers in receivers_of:
+            pair_edges = [(t, r) for t in transmitters for r in receivers]
             mask = rng.random(len(pair_edges)) < prob
             chosen = [e for e, keep in zip(pair_edges, mask) if keep]
             if not chosen:

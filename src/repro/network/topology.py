@@ -86,6 +86,11 @@ class TwoTierTopology:
     ``E_p`` and switches it to read-only mode.  Query methods answer on an
     unfrozen topology too, and never freeze it.
 
+    Each node name and each reconfigurable edge is stored once: ``add_*``
+    calls map name arguments to the string stored when that node was added
+    (a name table, so ``str`` subclasses work), and every ``E_p`` holds the
+    ``(t, r)`` tuples keyed in the edge-delay map.
+
     Examples
     --------
     >>> topo = TwoTierTopology()
@@ -102,6 +107,8 @@ class TwoTierTopology:
         self.name = name
         self._frozen = False
 
+        #: node name -> the one string object stored for it, in every layer
+        self._names: Dict[str, str] = {}
         self._sources: Dict[str, None] = {}
         self._destinations: Dict[str, None] = {}
         self._transmitters: Dict[str, str] = {}  # t -> source
@@ -110,15 +117,15 @@ class TwoTierTopology:
         self._destination_receivers: Dict[str, List[str]] = {}
 
         self._edge_delay: Dict[Edge, int] = {}
-        self._receivers_of_transmitter: Dict[str, List[str]] = {}
+        self._edges_of_transmitter: Dict[str, List[Edge]] = {}  # the _edge_delay keys
         self._transmitters_of_receiver: Dict[str, List[str]] = {}
 
         self._fixed_links: Dict[Tuple[str, str], int] = {}
         self._head_delay: Dict[str, int] = {}  # transmitter -> d(src, t)
         self._tail_delay: Dict[str, int] = {}  # receiver -> d(r, dest)
 
-        #: (source, destination) -> E_p, filled by :meth:`freeze` for every
-        #: pair with at least one reconfigurable edge
+        #: (source, destination) -> E_p (the _edge_delay keys), filled by
+        #: :meth:`freeze` for every pair with at least one reconfigurable edge
         self._candidates: Dict[Tuple[str, str], Tuple[Edge, ...]] = {}
 
     # ------------------------------------------------------------------ #
@@ -131,13 +138,14 @@ class TwoTierTopology:
     def _require_new_node(self, node: str) -> None:
         if not isinstance(node, str) or not node:
             raise TopologyError(f"node names must be non-empty strings, got {node!r}")
-        if node in self._sources or node in self._destinations or node in self._transmitters or node in self._receivers:
+        if node in self._names:
             raise TopologyError(f"node {node!r} already exists in topology {self.name!r}")
 
     def add_source(self, source: str) -> None:
         """Add a source (e.g. a sending ToR switch)."""
         self._require_mutable()
         self._require_new_node(source)
+        self._names[source] = source
         self._sources[source] = None
         self._source_transmitters[source] = []
 
@@ -145,6 +153,7 @@ class TwoTierTopology:
         """Add a destination (e.g. a receiving ToR switch)."""
         self._require_mutable()
         self._require_new_node(destination)
+        self._names[destination] = destination
         self._destinations[destination] = None
         self._destination_receivers[destination] = []
 
@@ -163,9 +172,11 @@ class TwoTierTopology:
             raise TopologyError(f"unknown source {source!r} for transmitter {transmitter!r}")
         if not isinstance(head_delay, int) or head_delay < 0:
             raise TopologyError(f"head_delay must be a non-negative integer, got {head_delay!r}")
+        self._names[transmitter] = transmitter
+        source = self._names[source]
         self._transmitters[transmitter] = source
         self._source_transmitters[source].append(transmitter)
-        self._receivers_of_transmitter[transmitter] = []
+        self._edges_of_transmitter[transmitter] = []
         self._head_delay[transmitter] = head_delay
 
     def add_receiver(self, receiver: str, destination: str, tail_delay: int = 0) -> None:
@@ -176,6 +187,8 @@ class TwoTierTopology:
             raise TopologyError(f"unknown destination {destination!r} for receiver {receiver!r}")
         if not isinstance(tail_delay, int) or tail_delay < 0:
             raise TopologyError(f"tail_delay must be a non-negative integer, got {tail_delay!r}")
+        self._names[receiver] = receiver
+        destination = self._names[destination]
         self._receivers[receiver] = destination
         self._destination_receivers[destination].append(receiver)
         self._transmitters_of_receiver[receiver] = []
@@ -192,12 +205,13 @@ class TwoTierTopology:
             raise TopologyError(
                 f"reconfigurable edge delay must be an integer >= 1, got {delay!r}"
             )
-        edge = (transmitter, receiver)
+        names = self._names
+        edge = (names[transmitter], names[receiver])
         if edge in self._edge_delay:
             raise TopologyError(f"edge {edge!r} already exists")
         self._edge_delay[edge] = delay
-        self._receivers_of_transmitter[transmitter].append(receiver)
-        self._transmitters_of_receiver[receiver].append(transmitter)
+        self._edges_of_transmitter[edge[0]].append(edge)
+        self._transmitters_of_receiver[edge[1]].append(edge[0])
 
     def add_fixed_link(self, source: str, destination: str, delay: int) -> None:
         """Add a direct (fixed-network) source→destination link with delay ``delay >= 1``."""
@@ -208,7 +222,7 @@ class TwoTierTopology:
             raise TopologyError(f"unknown destination {destination!r} for fixed link")
         if not isinstance(delay, int) or delay < 1:
             raise TopologyError(f"fixed link delay must be an integer >= 1, got {delay!r}")
-        key = (source, destination)
+        key = (self._names[source], self._names[destination])
         if key in self._fixed_links:
             raise TopologyError(f"fixed link {key!r} already exists")
         self._fixed_links[key] = delay
@@ -218,7 +232,7 @@ class TwoTierTopology:
 
         The index is one pass over the reconfigurable edges, grouped by
         (source, destination) in the order :meth:`candidate_edges` scans an
-        unfrozen topology.  Returns ``self``.
+        unfrozen topology; it holds the stored edge tuples.  Returns ``self``.
         """
         if not self._frozen:
             self.validate()
@@ -226,8 +240,8 @@ class TwoTierTopology:
             for source, transmitters in self._source_transmitters.items():
                 by_destination: Dict[str, List[Edge]] = {}
                 for t in transmitters:
-                    for r in self._receivers_of_transmitter[t]:
-                        by_destination.setdefault(receivers[r], []).append((t, r))
+                    for edge in self._edges_of_transmitter[t]:
+                        by_destination.setdefault(receivers[edge[1]], []).append(edge)
                 for destination, edges in by_destination.items():
                     self._candidates[(source, destination)] = tuple(edges)
             self._frozen = True
@@ -327,7 +341,7 @@ class TwoTierTopology:
     def receivers_of(self, transmitter: str) -> Tuple[str, ...]:
         """``R(t)``: receivers adjacent to ``transmitter`` in the reconfigurable network."""
         try:
-            return tuple(self._receivers_of_transmitter[transmitter])
+            return tuple(r for _, r in self._edges_of_transmitter[transmitter])
         except KeyError:
             raise TopologyError(f"unknown transmitter {transmitter!r}") from None
 
@@ -407,10 +421,10 @@ class TwoTierTopology:
         if self._frozen:
             return []
         return [
-            (t, r)
+            edge
             for t in self._source_transmitters[source]
-            for r in self._receivers_of_transmitter[t]
-            if self._receivers[r] == destination
+            for edge in self._edges_of_transmitter[t]
+            if self._receivers[edge[1]] == destination
         ]
 
     def has_fixed_link(self, source: str, destination: str) -> bool:
@@ -444,7 +458,7 @@ class TwoTierTopology:
 
     def degree_statistics(self) -> Dict[str, float]:
         """Simple degree statistics of the reconfigurable bipartite graph."""
-        t_degrees = [len(v) for v in self._receivers_of_transmitter.values()] or [0]
+        t_degrees = [len(v) for v in self._edges_of_transmitter.values()] or [0]
         r_degrees = [len(v) for v in self._transmitters_of_receiver.values()] or [0]
         return {
             "num_transmitters": float(len(self._transmitters)),

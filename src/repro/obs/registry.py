@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.exceptions import ObservabilityError
 

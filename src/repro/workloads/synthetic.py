@@ -23,8 +23,6 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.packet import Packet
 from repro.exceptions import WorkloadError
 from repro.network.topology import TwoTierTopology

@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from repro.exceptions import WorkloadError
-from repro.utils.rng import RngLike, as_rng
 
 __all__ = [
     "WeightSampler",

@@ -137,7 +137,16 @@ def _audit(pool, now: int) -> None:
                     )
     matching = pool.matching_index
     if matching is not None:
-        assert len(matching) == len(eligible)
+        # The index's port lists hold exactly the pool's eligible entries,
+        # compared by identity, each once per side and in key order.
+        runs = {id(run): run for run in pool._eligible_set}
+        for lists, port in ((matching._tx_runs, "transmitter"), (matching._rx_runs, "receiver")):
+            listed = [run for entries in lists.values() for run in entries]
+            assert len(listed) == len({id(run) for run in listed}) == len(runs)
+            assert all(runs.get(id(run)) is run for run in listed)
+            for name, entries in lists.items():
+                assert all(getattr(run, port) == name for run in entries)
+                assert [run.key for run in entries] == sorted(run.key for run in entries)
         assert matching.current_matching() == greedy_stable_matching(eligible)
 
 

@@ -36,6 +36,10 @@ def _failing_task(task: ExperimentTask) -> dict:
     raise RuntimeError("boom")
 
 
+def _rejecting_task(task: ExperimentTask) -> dict:
+    raise ValueError(f"instance of {len(task.params['instance'])} packets rejected")
+
+
 def _make_spec(n: int = 4, seed: int = 11) -> ExperimentSpec:
     return ExperimentSpec(
         name="echo", task_fn=_echo_task, grid=[{"x": i * 10} for i in range(n)], seed=seed
@@ -81,6 +85,20 @@ class TestRunner:
         spec = ExperimentSpec(name="bad", task_fn=_failing_task, grid=[{"x": 42}])
         with pytest.raises(ExperimentError, match=r"experiment 'bad'.*'x': 42"):
             run_experiment(spec)
+
+    def test_failure_message_bounds_large_params(self):
+        instance = [{"packet": pid, "weight": 1.5, "path": "s0->d1"} for pid in range(5000)]
+        spec = ExperimentSpec(
+            name="big", task_fn=_rejecting_task, grid=[{"instance": instance, "label": "cell-7"}]
+        )
+        with pytest.raises(ExperimentError) as info:
+            run_experiment(spec)
+        message = str(info.value)
+        assert len(message) < 400, len(message)
+        assert message.startswith("task 0 of experiment 'big' failed")
+        assert "'label': 'cell-7'" in message
+        assert message.endswith("ValueError: instance of 5000 packets rejected")
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,12 @@ and must be a stable matching of that set.  The random walks here drive the
 repairer through its full event space (tie weights, eviction cascades,
 removal promotions, future-bucket removals) and check the oracle equivalence
 after every single step.
+
+The pool is the index's only producer (it hands over its own run entries
+and reports run-level events), so every test drives the index through a
+:class:`~repro.core.queues.PendingChunkPool`.  :func:`make_pool` puts the
+watermark ahead of the chunks' eligibility, so each ``add`` activates at
+once and keys reach the index in whatever order the test adds them.
 """
 
 from __future__ import annotations
@@ -37,6 +43,13 @@ def make_chunk(
     return split_into_chunks(packet, edge[0], edge[1], edge_delay=1, head_delay=head_delay)[0]
 
 
+def make_pool(now: int = 10) -> PendingChunkPool:
+    """A pool with a matching index and its watermark at ``now``."""
+    pool = PendingChunkPool(matching_index=True)
+    pool.advance_eligibility(now)
+    return pool
+
+
 def assert_matches_oracle(index: MatchingIndex, eligible: list[Chunk]) -> None:
     """The repaired matching equals the from-scratch greedy pass, in order."""
     matching = index.current_matching()
@@ -46,68 +59,88 @@ def assert_matches_oracle(index: MatchingIndex, eligible: list[Chunk]) -> None:
 
 class TestBasics:
     def test_empty(self):
-        assert MatchingIndex().current_matching() == []
+        assert make_pool().matching_index.current_matching() == []
 
     def test_single_chunk_matched(self):
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         chunk = make_chunk(0, 2.0, ("t1", "r1"))
-        index.activate(chunk)
+        pool.add(chunk)
         assert index.current_matching() == [chunk]
-        assert len(index) == 1
+        # Both port lists hold the pool's one entry for the chunk.
+        [entry] = index._tx_runs["t1"]
+        assert entry.chunks == [chunk]
+        assert index._rx_runs["r1"] == [entry]
+        assert list(pool._eligible_set) == [entry]
 
     def test_duplicate_activation_rejected(self):
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         chunk = make_chunk(0, 2.0, ("t1", "r1"))
-        index.activate(chunk)
-        with pytest.raises(SimulationError):
-            index.activate(chunk)
+        pool.add(chunk)
+        stats = index.stats()
+        with pytest.raises(SimulationError, match="already in the pool"):
+            pool.add(chunk)
+        assert index.stats() == stats
+        assert index.current_matching() == [chunk]
 
     def test_discard_untracked_is_noop(self):
-        index = MatchingIndex()
-        index.discard(make_chunk(0, 2.0, ("t1", "r1")))
+        # A future-bucket chunk was never activated: its removal does not
+        # reach the index.
+        pool = make_pool()
+        index = pool.matching_index
+        future = make_chunk(0, 2.0, ("t1", "r1"), head_delay=20)
+        pool.add(future)
+        pool.remove(future)
         assert index.current_matching() == []
+        assert index.stats()["tasks"] == 0
 
     def test_clear(self):
-        index = MatchingIndex()
-        index.activate(make_chunk(0, 2.0, ("t1", "r1")))
-        index.clear()
-        assert len(index) == 0
+        pool = make_pool()
+        index = pool.matching_index
+        pool.add(make_chunk(0, 2.0, ("t1", "r1")))
+        pool.clear()
+        assert not index._tx_runs and not index._rx_runs
         assert index.current_matching() == []
 
     def test_removing_unmatched_chunk_changes_nothing(self):
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         heavy = make_chunk(0, 5.0, ("t1", "r1"))
         blocked = make_chunk(1, 1.0, ("t1", "r2"))
-        index.activate(heavy)
-        index.activate(blocked)
+        pool.add(heavy)
+        pool.add(blocked)
         assert index.current_matching() == [heavy]
-        index.discard(blocked)
+        pool.remove(blocked)
         assert index.current_matching() == [heavy]
 
 
 class TestTieWeights:
     def test_equal_weights_resolved_by_arrival(self):
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         late = make_chunk(0, 2.0, ("t1", "r1"), arrival=9)
         early = make_chunk(1, 2.0, ("t1", "r2"), arrival=3)
-        index.activate(late)  # matched first…
-        index.activate(early)  # …then evicted by the earlier arrival
+        pool.add(late)  # matched first…
+        pool.add(early)  # …then evicted by the earlier arrival
         assert_matches_oracle(index, [late, early])
         assert index.current_matching() == [early]
 
     def test_equal_weight_and_arrival_resolved_by_packet_id(self):
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         chunks = [make_chunk(pid, 4.0, ("t1", f"r{pid}")) for pid in (2, 0, 1)]
         for chunk in chunks:
-            index.activate(chunk)
+            pool.add(chunk)
         assert_matches_oracle(index, chunks)
         assert [c.packet.packet_id for c in index.current_matching()] == [0]
 
     def test_all_tied_on_disjoint_edges_all_matched(self):
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         chunks = [make_chunk(pid, 1.0, (f"t{pid}", f"r{pid}")) for pid in range(4)]
         for chunk in chunks:
-            index.activate(chunk)
+            pool.add(chunk)
         assert_matches_oracle(index, chunks)
         assert len(index.current_matching()) == 4
 
@@ -125,39 +158,42 @@ class TestEvictionCascade:
         return [b1, b2, b3, c2, c3]
 
     def test_addition_triggers_bounded_cascade(self):
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         chunks = self._chain()
         for chunk in chunks:
-            index.activate(chunk)
+            pool.add(chunk)
         b1, b2, b3, c2, c3 = chunks
         assert index.current_matching() == [b1, b2, b3]
 
         a = make_chunk(0, 6.0, ("t1", "r0"))
-        index.activate(a)
+        pool.add(a)
         assert_matches_oracle(index, chunks + [a])
         assert index.current_matching() == [a, c2, c3]
 
     def test_removal_unwinds_the_cascade(self):
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         chunks = self._chain()
         a = make_chunk(0, 6.0, ("t1", "r0"))
         for chunk in chunks + [a]:
-            index.activate(chunk)
+            pool.add(chunk)
         assert index.current_matching() == [a, chunks[3], chunks[4]]
 
-        index.discard(a)  # b1 re-enters, evicting c2; b2 re-enters, evicting c3…
+        pool.remove(a)  # b1 re-enters, evicting c2; b2 re-enters, evicting c3…
         assert_matches_oracle(index, chunks)
         assert index.current_matching() == chunks[:3]
 
     def test_same_edge_replacement(self):
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         low = make_chunk(0, 1.0, ("t1", "r1"))
         high = make_chunk(1, 7.0, ("t1", "r1"))
-        index.activate(low)
+        pool.add(low)
         assert index.current_matching() == [low]
-        index.activate(high)  # same-edge owner: both ports pass over at once
+        pool.add(high)  # same-edge owner: both ports pass over at once
         assert index.current_matching() == [high]
-        index.discard(high)
+        pool.remove(high)
         assert index.current_matching() == [low]
 
 
@@ -190,11 +226,12 @@ class TestLongBlockedRun:
     @pytest.mark.parametrize("flip", [False, True])
     @pytest.mark.parametrize("how", ["remove", "evict"])
     def test_blocker_leaves_after_deferred_walk(self, flip: bool, how: str) -> None:
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         x, run, y, z = self._build(flip)
         eligible = [x, *run, y, z]
         for chunk in eligible:
-            index.activate(chunk)
+            pool.add(chunk)
         assert_matches_oracle(index, eligible)
         assert z in index.current_matching() and x in index.current_matching()
 
@@ -202,8 +239,8 @@ class TestLongBlockedRun:
         # defers at y to w's pending eval (weight between the run's and y's).
         w = make_chunk(3, 20.0, ("t9", "r9"))
         before = index.stats()["tasks"]
-        index.discard(z)
-        index.activate(w)
+        pool.remove(z)
+        pool.add(w)
         eligible.remove(z)
         eligible.append(w)
         assert_matches_oracle(index, eligible)
@@ -213,19 +250,19 @@ class TestLongBlockedRun:
         assert y in index.current_matching()
 
         if how == "remove":
-            index.discard(x)
+            pool.remove(x)
             eligible.remove(x)
         else:
             # A heavier chunk on x's other port evicts x, freeing the run's port.
             v = make_chunk(4, 200.0, self._edge("1", "8", flip))
-            index.activate(v)
+            pool.add(v)
             eligible.append(v)
         assert_matches_oracle(index, eligible)
         assert run[0] in index.current_matching()
 
         # Drain the run from the front and the middle; each step re-checks.
         for chunk in run[:3] + run[self.RUN // 2 : self.RUN // 2 + 3]:
-            index.discard(chunk)
+            pool.remove(chunk)
             eligible.remove(chunk)
             assert_matches_oracle(index, eligible)
 
@@ -265,52 +302,55 @@ class TestRunActivation:
     """A packet's chunks activate as one run with a single ``eval`` task."""
 
     def test_run_adds_one_eval(self):
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         other = make_chunk(0, 1.0, ("t2", "r2"))
-        index.activate(other)
+        pool.add(other)
         index.current_matching()
         before = index.stats()["tasks"]
         run = make_run(1, 8.0, ("t1", "r1"))
-        index.activate(*run)
+        pool.add_all(run)
         assert_matches_oracle(index, [other, *run])
         assert index.stats()["tasks"] == before + 1
 
     def test_blocked_head_released_by_owner_removal(self):
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         owner = make_chunk(0, 9.0, ("t2", "r1"))  # outranks the run on r1
         bystander = make_chunk(1, 0.5, ("t1", "r3"))
         run = make_run(2, 8.0, ("t1", "r1"))
         eligible = [owner, bystander]
-        index.activate(owner)
-        index.activate(bystander)
+        pool.add(owner)
+        pool.add(bystander)
         assert_matches_oracle(index, eligible)
-        index.activate(*run)
+        pool.add_all(run)
         eligible += run
         assert_matches_oracle(index, eligible)
         assert run[0] not in index.current_matching()
-        index.discard(owner)  # r1 freed: the scan walks to the run's head
+        pool.remove(owner)  # r1 freed: the scan walks to the run's head
         eligible.remove(owner)
         assert_matches_oracle(index, eligible)
         assert index.current_matching() == [run[0]]
         for chunk in run:  # each removal hands the ports to the next chunk
-            index.discard(chunk)
+            pool.remove(chunk)
             eligible.remove(chunk)
             assert_matches_oracle(index, eligible)
         assert index.current_matching() == [bystander]
 
     def test_head_removed_before_its_eval(self):
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         rival = make_chunk(0, 1.0, ("t1", "r2"))
-        index.activate(rival)
+        pool.add(rival)
         index.current_matching()
         run = make_run(1, 8.0, ("t1", "r1"))
-        index.activate(*run)
-        index.discard(run[0])
-        index.discard(run[2])
+        pool.add_all(run)
+        pool.remove(run[0])
+        pool.remove(run[2])
         assert_matches_oracle(index, [rival, run[1], run[3]])
         assert index.current_matching() == [run[1]]
-        for chunk in run:
-            index.discard(chunk)
+        for chunk in (run[1], run[3]):
+            pool.remove(chunk)
         assert_matches_oracle(index, [rival])
 
     @pytest.mark.parametrize("seed", range(6))
@@ -381,9 +421,11 @@ class TestRandomWalks:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_walk_on_bare_index(self, seed: int) -> None:
-        """Same walk against the index alone (no pool): activation order is free."""
+        """Same walk with no eligibility advances: every add activates at
+        once, so keys reach the index in any order (arrivals are shuffled)."""
         rng = random.Random(100 + seed)
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         tracked: list[Chunk] = []
         next_pid = 0
         for _ in range(200):
@@ -395,10 +437,10 @@ class TestRandomWalks:
                     arrival=rng.randrange(1, 5),
                 )
                 next_pid += 1
-                index.activate(chunk)
+                pool.add(chunk)
                 tracked.append(chunk)
             else:
-                index.discard(tracked.pop(rng.randrange(len(tracked))))
+                pool.remove(tracked.pop(rng.randrange(len(tracked))))
             assert_matches_oracle(index, tracked)
 
 
@@ -455,14 +497,15 @@ class TestHandover:
     """A removed matched chunk hands both ports to the next chunk on both."""
 
     def test_run_successor_takes_over_without_a_task(self):
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         run = make_run(0, 5.0, ("t1", "r1"), delay=3)
         other = make_chunk(1, 1.0, ("t2", "r2"))
-        index.activate(*run)
-        index.activate(other)
+        pool.add_all(run)
+        pool.add(other)
         assert index.current_matching() == [run[0], other]
         stats = index.stats()
-        index.discard(run[0])
+        pool.remove(run[0])
         assert_matches_oracle(index, [*run[1:], other])
         assert index.current_matching() == [run[1], other]
         after = index.stats()
@@ -472,16 +515,17 @@ class TestHandover:
     def test_different_next_entries_fall_back(self):
         # After ``c`` leaves, r1's next entry is ``v`` (t2, r1), not the
         # same-edge ``u``: ``v`` outranks ``u`` and must take r1.
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         c = make_chunk(0, 9.0, ("t1", "r1"))
         v = make_chunk(1, 7.0, ("t2", "r1"))
         u = make_chunk(2, 5.0, ("t1", "r1"))
         eligible = [c, v, u]
         for chunk in eligible:
-            index.activate(chunk)
+            pool.add(chunk)
         assert index.current_matching() == [c]
         stats = index.stats()
-        index.discard(c)
+        pool.remove(c)
         eligible.remove(c)
         assert_matches_oracle(index, eligible)
         assert index.current_matching() == [v]
@@ -492,14 +536,15 @@ class TestHandover:
     def test_pending_heavier_eval_falls_back(self):
         # An undrained eval of a heavier chunk on the same transmitter: the
         # removal pushes its scans, and the heavier chunk wins t1.
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         run = make_run(0, 5.0, ("t1", "r1"), delay=2)
-        index.activate(*run)
+        pool.add_all(run)
         assert index.current_matching() == [run[0]]
         heavy = make_chunk(1, 9.0, ("t1", "r2"))
-        index.activate(heavy)
+        pool.add(heavy)
         stats = index.stats()
-        index.discard(run[0])
+        pool.remove(run[0])
         assert index.stats()["handovers"] == stats["handovers"]
         assert_matches_oracle(index, [run[1], heavy])
         assert index.current_matching() == [heavy]
@@ -513,7 +558,8 @@ class TestHandover:
         fallback scan) and behind pending evals.
         """
         rng = random.Random(700 + seed)
-        index = MatchingIndex()
+        pool = make_pool()
+        index = pool.matching_index
         tracked: list[Chunk] = []
         handovers = fallbacks = 0
         for pid in range(120):
@@ -522,14 +568,14 @@ class TestHandover:
                 for chunk in index.current_matching():
                     if rng.random() < 0.8:
                         before = index.stats()["handovers"]
-                        index.discard(chunk)
+                        pool.remove(chunk)
                         tracked.remove(chunk)
                         if index.stats()["handovers"] > before:
                             handovers += 1
                         else:
                             fallbacks += 1
             if rng.random() < 0.15 and tracked:
-                index.discard(tracked.pop(rng.randrange(len(tracked))))
+                pool.remove(tracked.pop(rng.randrange(len(tracked))))
             run = make_run(
                 pid,
                 float(rng.choice((1.0, 2.0, 2.0, 3.0))),
@@ -537,7 +583,7 @@ class TestHandover:
                 delay=rng.randrange(2, 5),
                 arrival=rng.randrange(1, 4),
             )
-            index.activate(*run)
+            pool.add_all(run)
             tracked.extend(run)
         assert_matches_oracle(index, tracked)
         assert handovers > 0 and fallbacks > 0

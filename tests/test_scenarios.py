@@ -404,7 +404,6 @@ class TestTraceWorkloadSpec:
 
     def test_trace_scenario_runs_end_to_end(self, recorded, tmp_path):
         """A trace-backed scenario is a first-class registry citizen."""
-        from repro.baselines import all_policies
         from repro.simulation import simulate
 
         fabric, packets, path = recorded
